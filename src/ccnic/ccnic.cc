@@ -45,7 +45,7 @@ sizePool(CcNicConfig &cfg)
 std::uint32_t
 wireFcs(const WirePacket &pkt)
 {
-    // CRC-32C (Castagnoli), bitwise, over the logical field words.
+    // CRC-32C (Castagnoli) over the logical field words.
     const std::uint64_t words[] = {
         pkt.len,
         pkt.flowId,
@@ -61,13 +61,8 @@ wireFcs(const WirePacket &pkt)
             (static_cast<std::uint64_t>(pkt.tp.flags) << 16),
     };
     std::uint32_t crc = ~0u;
-    for (const std::uint64_t w : words) {
-        for (int b = 0; b < 8; ++b) {
-            crc ^= static_cast<std::uint8_t>(w >> (b * 8));
-            for (int k = 0; k < 8; ++k)
-                crc = (crc >> 1) ^ (0x82f63b78u & (~(crc & 1) + 1));
-        }
-    }
+    for (const std::uint64_t w : words)
+        crc = driver::crc32cWord(crc, w);
     crc = ~crc;
     // Reserve 0 as the "unstamped" sentinel.
     return crc ? crc : 1u;
@@ -455,12 +450,21 @@ CcNic::reset()
         // took it; inline TX: the NIC freed it), so only non-consumed
         // occupied slots are ring-owned. txShadow may alias TX slots
         // (host-managed mode stores the buffer in both), so dedup.
-        std::unordered_set<PacketBuf *> uniq;
-        auto sweep = [&uniq](driver::DescRing &ring) {
+        // Free in first-seen order: a set of pointers iterates in an
+        // order that depends on where the heap placed the buffers, so
+        // the recycle order, and the rest of the run, would differ
+        // between processes.
+        std::unordered_set<PacketBuf *> seen;
+        std::vector<PacketBuf *> frees;
+        auto reclaim = [&seen, &frees](PacketBuf *b) {
+            if (seen.insert(b).second)
+                frees.push_back(b);
+        };
+        auto sweep = [&reclaim](driver::DescRing &ring) {
             for (std::uint32_t i = 0; i < ring.entries(); ++i) {
                 auto &slot = ring.slot(i);
                 if (slot.buf && slot.meta != kConsumed)
-                    uniq.insert(slot.buf);
+                    reclaim(slot.buf);
                 slot.buf = nullptr;
                 slot.ready = false;
                 slot.meta = kRxEmpty;
@@ -475,27 +479,23 @@ CcNic::reset()
         // the ring sweep cannot see their buffers: reclaim them here.
         for (const auto &e : queue.txPending.take(true)) {
             if (e.buf)
-                uniq.insert(e.buf);
+                reclaim(e.buf);
         }
         (void)queue.rxDevPending.take(true);
         queue.tx.clearAllSeals();
         queue.rx.clearAllSeals();
         for (PacketBuf *&b : queue.txShadow) {
             if (b)
-                uniq.insert(b);
+                reclaim(b);
             b = nullptr;
         }
         // Drop wire-side packets queued into the dead device.
         while (!queue.rxInput.empty())
             (void)co_await queue.rxInput.get();
 
-        if (!uniq.empty()) {
-            std::vector<PacketBuf *> frees;
-            frees.reserve(uniq.size());
-            for (PacketBuf *b : uniq) {
+        if (!frees.empty()) {
+            for (PacketBuf *b : frees)
                 b->nextSeg = nullptr; // Second segments are app memory.
-                frees.push_back(b);
-            }
             co_await pool_->freeBurst(queue.nicAgent, frees.data(),
                                       static_cast<int>(frees.size()),
                                       q);
@@ -1341,11 +1341,10 @@ CcNic::nicTxTask(int q)
             if (!t.buf)
                 continue;
             WirePacket pkt{t.len, t.buf->txTime, t.buf->flowId,
-                           t.buf->userData, 1, t.buf->src, t.buf->dst};
-            pkt.tp = t.buf->tp;
+                           t.buf->userData, 1, t.buf->src, t.buf->dst,
+                           t.buf->tp, 0, t.buf->span};
             // The span rides the wire from here; the TX buffer is
             // about to be recycled and must not keep an active slot.
-            pkt.span = t.buf->span;
             t.buf->span.clear();
             if (t.buf->nextSeg)
                 pkt.segments = 2;

@@ -20,6 +20,7 @@
 #define CCN_DRIVER_RING_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -163,18 +164,27 @@ class PublishBatch
 };
 
 /**
- * Bitwise CRC-32C (Castagnoli) over one 64-bit word, for descriptor
- * integrity stamps. Matches the wire-FCS polynomial so the same
- * single-bit detection guarantee holds end to end.
+ * CRC-32C (Castagnoli) over one 64-bit word, low byte first. The one
+ * CRC routine of the datapath: descriptor integrity stamps and the
+ * wire FCS (ccnic::wireFcs) both fold their field words through it,
+ * so the same single-bit detection guarantee holds end to end.
  */
 inline std::uint32_t
 crc32cWord(std::uint32_t crc, std::uint64_t word)
 {
-    for (int i = 0; i < 8; ++i) {
-        crc ^= static_cast<std::uint8_t>(word >> (i * 8));
-        for (int b = 0; b < 8; ++b)
-            crc = (crc >> 1) ^ (0x82f63b78u & (~(crc & 1u) + 1u));
-    }
+    // Byte-at-a-time table for the reflected polynomial 0x82f63b78.
+    static constexpr std::array<std::uint32_t, 256> kTable = [] {
+        std::array<std::uint32_t, 256> table{};
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            std::uint32_t c = i;
+            for (int b = 0; b < 8; ++b)
+                c = (c >> 1) ^ (0x82f63b78u & (~(c & 1u) + 1u));
+            table[i] = c;
+        }
+        return table;
+    }();
+    for (int i = 0; i < 8; ++i)
+        crc = (crc >> 8) ^ kTable[(crc ^ (word >> (i * 8))) & 0xffu];
     return crc;
 }
 

@@ -50,7 +50,7 @@ CoherentSystem::addAgent(int socket)
     assert(socket >= 0 && socket < cfg_.sockets);
     AgentId id = static_cast<AgentId>(agents_.size());
     assert(id < 128 && "SharerSet supports up to 128 L2 caches");
-    agents_.push_back(Agent{socket, {}, 0, 0});
+    agents_.push_back(Agent{socket, {}, 0, 0, {}, 0});
     l2_.emplace_back(cfg_.l2Lines, cfg_.l2Ways);
     return id;
 }
@@ -461,7 +461,9 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
 
     // Read miss.
     CacheEntry *oe = nullptr;
-    int supplier = -1; ///< Forwarding L2 agent; -1 = home/LLC supply.
+    // Forwarding L2 agent; -1 = home/LLC supply. Only the profiler
+    // hooks read it, and CCN_COHERENCE_PROFILER=OFF compiles them out.
+    [[maybe_unused]] int supplier = -1;
     if (d.owner >= 0 && d.owner != a)
         oe = l2_[d.owner].find(line);
 

@@ -784,9 +784,8 @@ PcieNic::devTxEngine(int q)
                 spans.push_back({b->addr, b->len});
                 b->span.stamp(obs::SpanStage::NicObserve, sim_.now());
                 WirePacket wp{slot.len, b->txTime, b->flowId,
-                              b->userData, 1, b->src, b->dst};
-                wp.tp = b->tp;
-                wp.span = b->span;
+                              b->userData, 1, b->src, b->dst,
+                              b->tp, 0, b->span};
                 b->span.clear();
                 if (b->nextSeg) {
                     spans.push_back({b->nextSeg->addr, b->segLen});

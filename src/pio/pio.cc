@@ -463,11 +463,9 @@ PioNic::txBurst(int q, PacketBuf **bufs, int count)
         // accepted buffers only.
         obs::SpanTable::global().maybeStart(b->span, sim_.now());
         WirePacket msg{b->wireLen(), b->txTime, b->flowId, b->userData,
-                       1, b->src, b->dst};
-        msg.tp = b->tp;
+                       1, b->src, b->dst, b->tp, 0, b->span};
         // The span rides in the slot from here; inline TX buffers are
         // recycled immediately and must not keep an active slot.
-        msg.span = b->span;
         b->span.clear();
         const bool spilled = msg.len > inline_cap;
         if (spilled) {

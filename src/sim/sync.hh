@@ -376,19 +376,22 @@ class CalendarResource
         double remaining = static_cast<double>(bytes);
         Tick completion = earliest;
         while (remaining > 0) {
-            while (idx >= used_.size())
-                used_.push_back(0.0);
-            const double space = cap - used_[idx];
+            idx = firstOpen(idx);
+            while (idx >= buckets_.size())
+                buckets_.push_back({});
+            Bucket &b = buckets_[idx];
+            const double space = cap - b.used;
             if (space <= 0.0) {
+                b.skip = 1;
                 ++idx;
                 continue;
             }
             const double take = std::min(space, remaining);
-            used_[idx] += take;
+            b.used += take;
             remaining -= take;
             completion = base_ + static_cast<Tick>(idx) * bucketWidth_ +
                          static_cast<Tick>(
-                             used_[idx] / cap *
+                             b.used / cap *
                              static_cast<double>(bucketWidth_));
             ++idx;
         }
@@ -402,9 +405,13 @@ class CalendarResource
         return reserveAt(sim_.now(), bytes);
     }
 
+    /** Change the service rate. A higher rate can reopen a full
+     *  bucket, so every skip offset is dropped. */
     void setRate(double bytes_per_second)
     {
         bytesPerSecond_ = bytes_per_second;
+        for (Bucket &b : buckets_)
+            b.skip = 0;
     }
 
     double rate() const { return bytesPerSecond_; }
@@ -413,22 +420,54 @@ class CalendarResource
     void resetStats() { bytesServed_ = 0; }
 
   private:
+    /**
+     * One capacity bucket. skip == 0: the bucket may still have
+     * space. skip == k > 0: buckets [i, i + k) all failed the
+     * `cap - used <= 0.0` test at the current rate, so the scan may
+     * jump to i + k. At a fixed rate a full bucket never reopens.
+     */
+    struct Bucket
+    {
+        double used = 0.0;
+        std::size_t skip = 0;
+    };
+
     std::size_t
     bucketIndex(Tick t)
     {
-        if (used_.empty())
+        if (buckets_.empty())
             base_ = (t / bucketWidth_) * bucketWidth_;
         if (t < base_)
             t = base_;
         return static_cast<std::size_t>((t - base_) / bucketWidth_);
     }
 
+    /**
+     * First bucket at or after @p idx that may still have space
+     * (possibly one past the end). Points every offset on the path at
+     * the result, so later scans from the same start jump straight
+     * to the backlog's frontier.
+     */
+    std::size_t
+    firstOpen(std::size_t idx)
+    {
+        std::size_t open = idx;
+        while (open < buckets_.size() && buckets_[open].skip)
+            open += buckets_[open].skip;
+        while (idx < open) {
+            const std::size_t next = idx + buckets_[idx].skip;
+            buckets_[idx].skip = open - idx;
+            idx = next;
+        }
+        return open;
+    }
+
     void
     prune()
     {
         const Tick now = sim_.now();
-        while (!used_.empty() && base_ + bucketWidth_ <= now) {
-            used_.pop_front();
+        while (!buckets_.empty() && base_ + bucketWidth_ <= now) {
+            buckets_.pop_front();
             base_ += bucketWidth_;
         }
     }
@@ -437,7 +476,7 @@ class CalendarResource
     double bytesPerSecond_;
     Tick bucketWidth_;
     Tick base_ = 0;
-    std::deque<double> used_;
+    std::deque<Bucket> buckets_;
     std::uint64_t bytesServed_ = 0;
 };
 

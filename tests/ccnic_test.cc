@@ -32,6 +32,30 @@ struct World
     ccnic::CcNic nic;
 };
 
+TEST(CcNicWire, FcsOfFixedPacketIsPinned)
+{
+    // Wire stamps of a fixed packet must not drift across CRC rewrites.
+    ccnic::WirePacket pkt;
+    pkt.len = 1500;
+    pkt.flowId = 0x1122334455667788ull;
+    pkt.userData = 0x99aabbccddeeff00ull;
+    pkt.segments = 2;
+    pkt.dst = 42;
+    pkt.tp.srcConn = 3;
+    pkt.tp.dstConn = 5;
+    pkt.tp.seq = 1000;
+    pkt.tp.ack = 999;
+    pkt.tp.sack = 0xf0f0;
+    pkt.tp.credits = 64;
+    pkt.tp.flags = 0x11;
+    EXPECT_EQ(ccnic::wireFcs(pkt), 0x381dada6u);
+    EXPECT_TRUE(ccnic::fcsOk(pkt));
+    pkt.fcs = ccnic::wireFcs(pkt);
+    EXPECT_TRUE(ccnic::fcsOk(pkt));
+    pkt.tp.seq ^= 1;
+    EXPECT_FALSE(ccnic::fcsOk(pkt));
+}
+
 TEST(CcNicLoopback, ClosedLoopDeliversEveryPacket)
 {
     World w(mem::icxConfig(), ccnic::optimizedConfig(1, 0));

@@ -12,6 +12,7 @@
 #include "driver/mempool.hh"
 #include "driver/ring.hh"
 #include "mem/platform.hh"
+#include "sim/random.hh"
 
 namespace {
 
@@ -82,8 +83,9 @@ TEST(Mempool, SmallBuffersDisabledFallsBackToLarge)
     f.run([&]() -> sim::Coro<void> {
         PacketBuf *b = co_await f.pool->alloc(f.host, 64);
         EXPECT_NE(b, nullptr);
-        if (b)
+        if (b) {
             EXPECT_EQ(b->cls, BufClass::Large);
+        }
         co_return;
     });
 }
@@ -292,6 +294,49 @@ TEST(DescRing, SealsArePerLineAndWrap)
     ring.clearAllSeals();
     for (std::uint32_t i = 0; i < 16; ++i)
         EXPECT_FALSE(ring.lineSealed(i));
+}
+
+/** Bitwise CRC-32C over one word: the reference the table must match. */
+std::uint32_t
+bitwiseCrc32cWord(std::uint32_t crc, std::uint64_t word)
+{
+    for (int i = 0; i < 8; ++i) {
+        crc ^= static_cast<std::uint8_t>(word >> (i * 8));
+        for (int b = 0; b < 8; ++b)
+            crc = (crc >> 1) ^ (0x82f63b78u & (~(crc & 1u) + 1u));
+    }
+    return crc;
+}
+
+TEST(Crc32c, TableMatchesBitwiseReference)
+{
+    sim::Rng rng(0xc3c32c);
+    for (int i = 0; i < 100000; ++i) {
+        const auto crc = static_cast<std::uint32_t>(rng.next());
+        const std::uint64_t word = rng.next();
+        ASSERT_EQ(driver::crc32cWord(crc, word),
+                  bitwiseCrc32cWord(crc, word))
+            << "crc " << crc << " word " << word;
+    }
+    // RFC 3720 B.4 check values: 32 bytes of 0x00 and of 0xff.
+    std::uint32_t zeros = ~0u, ones = ~0u;
+    for (int i = 0; i < 4; ++i) {
+        zeros = driver::crc32cWord(zeros, 0);
+        ones = driver::crc32cWord(ones, ~std::uint64_t{0});
+    }
+    EXPECT_EQ(~zeros, 0x8a9136aau);
+    EXPECT_EQ(~ones, 0x62a8ab43u);
+}
+
+TEST(Crc32c, SlotChecksumIsPinned)
+{
+    // Stamps of a fixed slot must not drift across CRC rewrites.
+    driver::DescRing::Slot s;
+    s.len = 1500;
+    s.meta = 0x0123456789abcdefull;
+    s.ready = true;
+    s.gen = 7;
+    EXPECT_EQ(driver::DescRing::slotChecksum(s), 0x8694700eu);
 }
 
 TEST(PublishBatch, FixedFillAndTimeout)

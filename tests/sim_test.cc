@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <vector>
 
 #include "sim/random.hh"
@@ -221,6 +223,151 @@ TEST(BandwidthResource, RateChangeAffectsNewReservations)
     BandwidthResource link(sim, 64e9);
     link.setRate(32e9);
     EXPECT_EQ(link.reserve(64), 2 * kNanosecond);
+}
+
+/**
+ * The calendar's linear scan over full buckets, kept as the reference
+ * that CalendarResource's skip offsets must match tick for tick.
+ */
+class LinearScanCalendar
+{
+  public:
+    LinearScanCalendar(Simulator &sim, double bytes_per_second)
+        : sim_(sim), bytesPerSecond_(bytes_per_second)
+    {}
+
+    Tick
+    reserveAt(Tick earliest, std::uint64_t bytes)
+    {
+        if (earliest < sim_.now())
+            earliest = sim_.now();
+        const Tick now = sim_.now();
+        while (!used_.empty() && base_ + bucketWidth_ <= now) {
+            used_.pop_front();
+            base_ += bucketWidth_;
+        }
+        const double cap = bytesPerSecond_ * toSeconds(bucketWidth_);
+        if (used_.empty())
+            base_ = (earliest / bucketWidth_) * bucketWidth_;
+        std::size_t idx = static_cast<std::size_t>(
+            (std::max(earliest, base_) - base_) / bucketWidth_);
+        double remaining = static_cast<double>(bytes);
+        Tick completion = earliest;
+        while (remaining > 0) {
+            while (idx >= used_.size())
+                used_.push_back(0.0);
+            const double space = cap - used_[idx];
+            if (space <= 0.0) {
+                ++idx;
+                continue;
+            }
+            const double take = std::min(space, remaining);
+            used_[idx] += take;
+            remaining -= take;
+            completion = base_ + static_cast<Tick>(idx) * bucketWidth_ +
+                         static_cast<Tick>(
+                             used_[idx] / cap *
+                             static_cast<double>(bucketWidth_));
+            ++idx;
+        }
+        return std::max(completion,
+                        earliest + serializationTime(bytes, bytesPerSecond_));
+    }
+
+    Tick reserve(std::uint64_t bytes) { return reserveAt(sim_.now(), bytes); }
+    void setRate(double rate) { bytesPerSecond_ = rate; }
+
+  private:
+    Simulator &sim_;
+    double bytesPerSecond_;
+    const Tick bucketWidth_ = 64 * kNanosecond; ///< The calendar's default.
+    Tick base_ = 0;
+    std::deque<double> used_;
+};
+
+void
+advanceTo(Simulator &sim, Tick when)
+{
+    sim.scheduleCallback(when, [] {});
+    sim.run();
+}
+
+TEST(CalendarResource, MatchesLinearScanReference)
+{
+    constexpr Tick kBucket = 64 * kNanosecond;
+    constexpr double kRate = 25e9; // 1600 B per bucket.
+    constexpr std::uint64_t kBucketBytes = 1600;
+    constexpr int kCalls = 60000;
+    Simulator sim;
+    CalendarResource cal(sim, kRate);
+    LinearScanCalendar ref(sim, kRate);
+    Rng rng(0xca1e);
+    for (int i = 0; i < kCalls; ++i) {
+        // Rate raised mid-backlog (reopens full buckets), then lowered.
+        if (i == kCalls / 3 || i == 2 * kCalls / 3) {
+            const double rate = i == kCalls / 3 ? 2.5 * kRate : 0.4 * kRate;
+            cal.setRate(rate);
+            ref.setRate(rate);
+        }
+        // Phases of 5000 calls: build a backlog, hold it near steady
+        // state, then drain it with jumps that prune many buckets.
+        const int phase = (i / 5000) % 3;
+        if (phase == 1 && rng.below(2) == 0)
+            advanceTo(sim, sim.now() + rng.below(2 * kBucket));
+        else if (phase == 2 && rng.below(4) == 0)
+            advanceTo(sim, sim.now() + rng.below(64 * kBucket));
+
+        std::uint64_t bytes = 0;
+        switch (rng.below(4)) {
+        case 0: bytes = 1 + rng.below(64); break;
+        case 1: bytes = 1 + rng.below(kBucketBytes); break;
+        case 2: bytes = 1 + rng.below(4 * kBucketBytes); break;
+        default: bytes = kBucketBytes / (1 + rng.below(3)); break;
+        }
+        const Tick now = sim.now();
+        Tick got = 0, want = 0;
+        switch (rng.below(4)) {
+        case 0:
+            got = cal.reserve(bytes);
+            want = ref.reserve(bytes);
+            break;
+        case 1: {
+            const Tick past = now - std::min<Tick>(now, rng.below(8 * kBucket));
+            got = cal.reserveAt(past, bytes);
+            want = ref.reserveAt(past, bytes);
+            break;
+        }
+        case 2:
+            got = cal.reserveAt(now, bytes);
+            want = ref.reserveAt(now, bytes);
+            break;
+        default: {
+            const Tick future = now + rng.below(32 * kBucket);
+            got = cal.reserveAt(future, bytes);
+            want = ref.reserveAt(future, bytes);
+            break;
+        }
+        }
+        ASSERT_EQ(got, want) << "call " << i << ", " << bytes << " B";
+    }
+}
+
+TEST(CalendarResource, BacklogAtOneTickCompletesInOrder)
+{
+    constexpr double kRate = 25e9;
+    constexpr std::uint64_t kBytes = 100;
+    constexpr int kCalls = 10000;
+    Simulator sim;
+    CalendarResource cal(sim, kRate);
+    Tick last = 0;
+    for (int i = 0; i < kCalls; ++i) {
+        const Tick done = cal.reserve(kBytes);
+        ASSERT_GE(done, last) << "call " << i;
+        last = done;
+    }
+    const Tick ser = serializationTime(kBytes, kRate);
+    EXPECT_NEAR(static_cast<double>(last),
+                static_cast<double>(kCalls * ser), static_cast<double>(ser));
 }
 
 TEST(Rng, DeterministicAcrossInstances)
