@@ -40,17 +40,11 @@ kvMopsAt(const char *kind, int threads, const workload::SizeDist &dist,
     cfg.window = sim::fromUs(150.0);
     driver::NicInterface &nic = *w->nic;
     auto inject = [&](int q, const ccnic::WirePacket &p) {
-        if (w->ccnic)
-            w->ccnic->injectRx(q, p);
-        else
-            w->pcie->injectRx(q, p);
+        nic.injectRx(q, p);
     };
     auto set_sink =
         [&](std::function<void(int, const ccnic::WirePacket &)> s) {
-            if (w->ccnic)
-                w->ccnic->setTxSink(std::move(s));
-            else
-                w->pcie->setTxSink(std::move(s));
+            nic.setTxSink(std::move(s));
         };
     return apps::runKvStore(w->simv, w->system, nic, inject, set_sink,
                             wire, cfg)

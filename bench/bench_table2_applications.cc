@@ -58,17 +58,11 @@ runKvAt(bool ccnic_kind, int threads, const workload::SizeDist &dist,
     cfg.offeredOps = offered;
     cfg.window = sim::fromUs(150.0);
     auto inject = [&](int q, const ccnic::WirePacket &p) {
-        if (w->ccnic)
-            w->ccnic->injectRx(q, p);
-        else
-            w->pcie->injectRx(q, p);
+        w->nic->injectRx(q, p);
     };
     auto sink =
         [&](std::function<void(int, const ccnic::WirePacket &)> s) {
-            if (w->ccnic)
-                w->ccnic->setTxSink(std::move(s));
-            else
-                w->pcie->setTxSink(std::move(s));
+            w->nic->setTxSink(std::move(s));
         };
     return apps::runKvStore(w->simv, w->system, *w->nic, inject, sink,
                             wire, cfg)
@@ -102,17 +96,11 @@ runRpcAt(bool ccnic_kind, int threads, double offered)
     cfg.offeredOps = offered;
     cfg.window = sim::fromUs(150.0);
     auto inject = [&](int q, const ccnic::WirePacket &p) {
-        if (w->ccnic)
-            w->ccnic->injectRx(q, p);
-        else
-            w->pcie->injectRx(q, p);
+        w->nic->injectRx(q, p);
     };
     auto sink =
         [&](std::function<void(int, const ccnic::WirePacket &)> s) {
-            if (w->ccnic)
-                w->ccnic->setTxSink(std::move(s));
-            else
-                w->pcie->setTxSink(std::move(s));
+            w->nic->setTxSink(std::move(s));
         };
     return apps::runTcpRpc(w->simv, w->system, *w->nic, inject, sink,
                            wire, cfg)

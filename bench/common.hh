@@ -29,7 +29,6 @@ using scenario::World;
 using scenario::addObsSections;
 using scenario::makeCcNicWorld;
 using scenario::makePcieWorld;
-using scenario::makePioWorld;
 using scenario::InterfaceFamily;
 using scenario::interfaceFamilies;
 using scenario::familyLabel;

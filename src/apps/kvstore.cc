@@ -48,12 +48,6 @@ struct KvServer::State
         }
     }
 
-    ~State()
-    {
-        for (auto id : profRegions)
-            msys->profiler().unregisterRegion(id);
-    }
-
     State(const State &) = delete;
     State &operator=(const State &) = delete;
 
@@ -270,7 +264,14 @@ KvServer::KvServer(mem::CoherentSystem &m, const KvConfig &cfg,
     : st_(std::make_shared<State>(m, cfg, rng)), cfg_(cfg)
 {}
 
-KvServer::~KvServer() = default;
+KvServer::~KvServer()
+{
+    // Not in ~State: suspended server tasks keep the state alive until
+    // their Simulator is destroyed, which may outlive the memory system
+    // that owns the profiler.
+    for (obs::RegionId id : st_->profRegions)
+        st_->msys->profiler().unregisterRegion(id);
+}
 
 void
 KvServer::start(sim::Simulator &sim, mem::CoherentSystem &m,

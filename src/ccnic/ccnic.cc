@@ -1,7 +1,6 @@
 #include "ccnic/ccnic.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <unordered_set>
 
 namespace ccn::ccnic {
@@ -41,32 +40,6 @@ sizePool(CcNicConfig &cfg)
 }
 
 } // namespace
-
-std::uint32_t
-wireFcs(const WirePacket &pkt)
-{
-    // CRC-32C (Castagnoli) over the logical field words.
-    const std::uint64_t words[] = {
-        pkt.len,
-        pkt.flowId,
-        pkt.userData,
-        static_cast<std::uint64_t>(pkt.segments) |
-            (static_cast<std::uint64_t>(pkt.dst) << 8),
-        static_cast<std::uint64_t>(pkt.tp.srcConn) |
-            (static_cast<std::uint64_t>(pkt.tp.dstConn) << 32),
-        static_cast<std::uint64_t>(pkt.tp.seq) |
-            (static_cast<std::uint64_t>(pkt.tp.ack) << 32),
-        pkt.tp.sack,
-        static_cast<std::uint64_t>(pkt.tp.credits) |
-            (static_cast<std::uint64_t>(pkt.tp.flags) << 16),
-    };
-    std::uint32_t crc = ~0u;
-    for (const std::uint64_t w : words)
-        crc = driver::crc32cWord(crc, w);
-    crc = ~crc;
-    // Reserve 0 as the "unstamped" sentinel.
-    return crc ? crc : 1u;
-}
 
 CcNicConfig
 optimizedConfig(int num_queues, int host_socket)
@@ -110,36 +83,13 @@ unoptimizedConfig(int num_queues, int host_socket)
     return cfg;
 }
 
-driver::CpuCosts
-platformCosts(const mem::PlatformConfig &plat)
-{
-    driver::CpuCosts c;
-    if (plat.name == "SPR") {
-        // Leaner per-packet software on SPR (§5.3: 1520Mpps across 56
-        // cores while the interconnect, not the cores, saturates).
-        c.perLoop = 14;
-        c.perPktTx = 9;
-        c.perPktRx = 8;
-        c.perDesc = 3;
-        c.perAllocFree = 4;
-    } else {
-        // ICX: ~21Mpps/core saturated (330Mpps, core-limited, §5.3).
-        c.perLoop = 28;
-        c.perPktTx = 32;
-        c.perPktRx = 28;
-        c.perDesc = 9;
-        c.perAllocFree = 9;
-    }
-    return c;
-}
-
 CcNicConfig
 optimizedConfig(int num_queues, int host_socket,
                 const mem::PlatformConfig &plat)
 {
     CcNicConfig cfg = optimizedConfig(num_queues, host_socket);
-    cfg.hostCosts = platformCosts(plat);
-    cfg.nicCosts = platformCosts(plat);
+    cfg.hostCosts = driver::platformCosts(plat);
+    cfg.nicCosts = driver::platformCosts(plat);
     return cfg;
 }
 
@@ -148,16 +98,15 @@ unoptimizedConfig(int num_queues, int host_socket,
                   const mem::PlatformConfig &plat)
 {
     CcNicConfig cfg = unoptimizedConfig(num_queues, host_socket);
-    cfg.hostCosts = platformCosts(plat);
-    cfg.nicCosts = platformCosts(plat);
+    cfg.hostCosts = driver::platformCosts(plat);
+    cfg.nicCosts = driver::platformCosts(plat);
     return cfg;
 }
 
 CcNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
                     const CcNicConfig &cfg, int host_socket,
                     int nic_socket)
-    : hostAgent(m.addAgent(host_socket)),
-      nicAgent(m.addAgent(nic_socket)),
+    : QueueCore(sim, m, host_socket, nic_socket),
       tx(m, host_socket, cfg.ringEntries, cfg.layout),
       rx(m, cfg.nicHomedRx ? nic_socket : host_socket, cfg.ringEntries,
          cfg.layout),
@@ -165,18 +114,23 @@ CcNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
       txHead(m, host_socket),
       rxTail(m, cfg.nicHomedRx ? nic_socket : host_socket),
       rxHead(m, host_socket),
-      txShadow(cfg.ringEntries, nullptr),
-      rxInput(sim),
-      coreLock(sim, 1),
-      wireDrained(sim)
+      txShadow(cfg.ringEntries, nullptr)
 {}
 
 CcNic::CcNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
              const CcNicConfig &config, int host_socket, int nic_socket,
              sim::Rng &rng)
-    : sim_(sim), mem_(mem_system), cfg_(config),
-      hostSocket_(host_socket), nicSocket_(nic_socket),
-      integrity_(mem_system), runGate_(sim)
+    : NicInterface(sim, mem_system,
+                   {.prefix = "ccnic",
+                    .resetTrace = "ccnic.reset",
+                    .hostCosts = config.hostCosts,
+                    .beatPeriod = config.beatPeriod,
+                    .resetLat = config.resetLat,
+                    .reinitLat = mem_system.config().cycles(
+                        config.nicCosts.perLoop * 8),
+                    .wireLat = config.wireLat,
+                    .loopback = config.loopback}),
+      cfg_(config), hostSocket_(host_socket), nicSocket_(nic_socket)
 {
     cfg_.pool.homeSocket = host_socket;
     // Ring index arithmetic masks with entries-1, so normalize a
@@ -187,24 +141,16 @@ CcNic::CcNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     // Clamp the publish-batch target well under the ring size so a
     // staged (unpublished, hence not `ready`) region can never be
     // lapped and overwritten by the producer's own full-ring check.
-    if (cfg_.batch.enabled()) {
-        const std::uint32_t cap = std::max(1u, cfg_.ringEntries / 4);
-        cfg_.batch.size =
-            std::min(std::max(1u, cfg_.batch.size), cap);
-        cfg_.batch.maxSize =
-            std::min(std::max(cfg_.batch.size, cfg_.batch.maxSize),
-                     cap);
-    }
+    cfg_.batch.clampTo(std::max(1u, cfg_.ringEntries / 4));
     pool_ = std::make_unique<driver::Mempool>(mem_, cfg_.pool, rng);
     for (int q = 0; q < cfg_.numQueues; ++q) {
         queues_.push_back(std::make_unique<Queue>(
             sim_, mem_, cfg_, hostSocket_, nicSocket_));
+        addQueue(*queues_.back());
         queues_.back()->sigReads =
             &signalReadsQ_.at(static_cast<std::uint64_t>(q));
         queues_.back()->txPending.setPolicy(cfg_.batch);
         queues_.back()->rxDevPending.setPolicy(cfg_.batch);
-        queues_.back()->batchOcc =
-            &batchOccupancy_.at(static_cast<std::uint64_t>(q));
     }
     // Heartbeat lines are writer-homed like the rings (§3.3): each
     // side bumps its own line and polls the other's.
@@ -212,11 +158,6 @@ CcNic::CcNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
         std::make_unique<driver::RegisterLine>(mem_, hostSocket_);
     nicBeat_ = std::make_unique<driver::RegisterLine>(mem_, nicSocket_);
     registerProfRegions();
-}
-
-CcNic::~CcNic()
-{
-    unregisterProfRegions();
 }
 
 void
@@ -268,37 +209,12 @@ CcNic::registerProfRegions()
 }
 
 void
-CcNic::unregisterProfRegions()
+CcNic::spawnEngines(int q)
 {
-    for (obs::RegionId id : profRegions_)
-        mem_.profiler().unregisterRegion(id);
-    profRegions_.clear();
-}
-
-void
-CcNic::start()
-{
-    assert(!started_);
-    started_ = true;
-    for (int q = 0; q < cfg_.numQueues; ++q) {
-        sim_.spawn(nicTxTask(q));
-        sim_.spawn(nicRxTask(q));
-        if (cfg_.batch.enabled())
-            sim_.spawn(txFlushTimerTask(q));
-    }
-    sim_.spawn(heartbeatTask());
-}
-
-mem::AgentId
-CcNic::hostAgent(int q) const
-{
-    return queues_[q]->hostAgent;
-}
-
-mem::AgentId
-CcNic::nicAgent(int q) const
-{
-    return queues_[q]->nicAgent;
+    sim_.spawn(nicTxTask(q));
+    sim_.spawn(nicRxTask(q));
+    if (cfg_.batch.enabled())
+        sim_.spawn(txFlushTimerTask(q));
 }
 
 std::vector<mem::Addr>
@@ -311,99 +227,11 @@ CcNic::faultLines() const
     return {q.tx.lineOf(q.txCons), q.rx.lineOf(q.rxCons)};
 }
 
-sim::Coro<bool>
-CcNic::consumeGuard(mem::Addr line)
-{
-    if (!mem_.faultsArmed())
-        co_return true;
-    if (integrity_.staleView(line, mem::kLineBytes)) {
-        integrity_.noteReject();
-        co_return false;
-    }
-    co_return co_await integrity_.guardRange(line, mem::kLineBytes);
-}
-
-void
-CcNic::deliverTx(int q, const WirePacket &pkt)
-{
-    txCount_++;
-    // TX checksum offload: every packet leaves with a valid FCS.
-    WirePacket out = pkt;
-    out.span.stamp(obs::SpanStage::WireTx, sim_.now());
-    out.fcs = wireFcs(out);
-    if (!cfg_.loopback && txSink_) {
-        txSink_(q, out);
-        return;
-    }
-    if (cfg_.wireLat == 0) {
-        out.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
-        queues_[q]->rxInput.put(out);
-    } else {
-        Queue *queue = queues_[q].get();
-        sim_.scheduleCallback(sim_.now() + cfg_.wireLat,
-                              [queue, out, simp = &sim_]() mutable {
-                                  out.span.stamp(
-                                      obs::SpanStage::LinkDeliver,
-                                      simp->now());
-                                  queue->rxInput.put(out);
-                              });
-    }
-}
-
-void
-CcNic::injectRx(int q, const WirePacket &pkt)
-{
-    if (!fcsOk(pkt)) {
-        rxCrcDrops_++;
-        return;
-    }
-    WirePacket in = pkt;
-    in.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
-    queues_[q]->rxInput.put(in);
-}
-
-sim::Task
-CcNic::heartbeatTask()
-{
-    for (;;) {
-        co_await sim_.delay(cfg_.beatPeriod);
-        // A wedged or down device goes silent: that silence is the
-        // Watchdog's failure signal, so do not bump the line.
-        if (wedged_ || devState_ != DevState::Running)
-            continue;
-        const mem::AgentId agent = queues_[0]->nicAgent;
-        co_await mem_.store(agent, nicBeat_->addr(), 8);
-        nicBeat_->publish(nicBeat_->value() + 1);
-        heartbeats_++;
-        // Pingpong read of the host's beat line (host-liveness view).
-        co_await mem_.load(agent, hostBeat_->addr(), 8);
-    }
-}
-
-sim::Coro<void>
-CcNic::beatHost()
-{
-    const mem::AgentId agent = queues_[0]->hostAgent;
-    co_await mem_.store(agent, hostBeat_->addr(), 8);
-    hostBeat_->publish(hostBeat_->value() + 1);
-    co_return;
-}
-
-sim::Coro<std::uint64_t>
-CcNic::readDeviceBeat()
-{
-    co_await mem_.load(queues_[0]->hostAgent, nicBeat_->addr(), 8);
-    co_return nicBeat_->value();
-}
-
 driver::QueueHealth
 CcNic::health(int q) const
 {
     const Queue &queue = *queues_[q];
-    driver::QueueHealth h;
-    h.txSubmitted = queue.txSubmittedTotal;
-    h.txCompleted = queue.txCompletedTotal;
-    h.rxDelivered = queue.rxDeliveredTotal;
+    driver::QueueHealth h = queue.progress();
     h.txOutstanding = queue.txProd - queue.txCons;
     // Staged-but-unflushed descriptors are invisible to the device;
     // the Watchdog must not read a coalescing delay as a ring stall.
@@ -411,163 +239,71 @@ CcNic::health(int q) const
     return h;
 }
 
-sim::Coro<void>
-CcNic::quiesce()
-{
-    if (devState_ == DevState::Down)
-        co_return;
-    devState_ = DevState::Quiescing;
-    // Wake parked engines so they observe the state change; engines
-    // blocked on signal lines re-check within one beatPeriod.
-    runGate_.notifyAll();
-    for (auto &qp : queues_)
-        qp->wireDrained.notifyAll();
-    // Refuse new host bursts (devState_ guard) and drain the ones in
-    // flight.
-    while (hostOps_ > 0)
-        co_await sim_.delay(sim::fromNs(100));
-    // Sweep each queue's core lock: once it can be taken, no NIC
-    // engine is mid-batch on that queue.
-    for (auto &qp : queues_) {
-        co_await qp->coreLock.acquire();
-        qp->coreLock.release();
-    }
-    devState_ = DevState::Down;
-    co_return;
-}
-
-sim::Coro<void>
-CcNic::reset()
-{
-    assert(devState_ == DevState::Down);
-    co_await sim_.delay(cfg_.resetLat);
-
-    std::uint64_t reclaimed = 0;
-    for (int q = 0; q < cfg_.numQueues; ++q) {
-        Queue &queue = *queues_[q];
-        // Reclaim every ring-owned buffer exactly once. A kConsumed
-        // slot's buffer has already changed hands (inline RX: the app
-        // took it; inline TX: the NIC freed it), so only non-consumed
-        // occupied slots are ring-owned. txShadow may alias TX slots
-        // (host-managed mode stores the buffer in both), so dedup.
-        // Free in first-seen order: a set of pointers iterates in an
-        // order that depends on where the heap placed the buffers, so
-        // the recycle order, and the rest of the run, would differ
-        // between processes.
-        std::unordered_set<PacketBuf *> seen;
-        std::vector<PacketBuf *> frees;
-        auto reclaim = [&seen, &frees](PacketBuf *b) {
-            if (seen.insert(b).second)
-                frees.push_back(b);
-        };
-        auto sweep = [&reclaim](driver::DescRing &ring) {
-            for (std::uint32_t i = 0; i < ring.entries(); ++i) {
-                auto &slot = ring.slot(i);
-                if (slot.buf && slot.meta != kConsumed)
-                    reclaim(slot.buf);
-                slot.buf = nullptr;
-                slot.ready = false;
-                slot.meta = kRxEmpty;
-                slot.len = 0;
-                slot.gen = 0;
-                slot.csum = 0;
-            }
-        };
-        sweep(queue.tx);
-        sweep(queue.rx);
-        // Staged-but-unflushed publications never reached a slot, so
-        // the ring sweep cannot see their buffers: reclaim them here.
-        for (const auto &e : queue.txPending.take(true)) {
-            if (e.buf)
-                reclaim(e.buf);
-        }
-        (void)queue.rxDevPending.take(true);
-        queue.tx.clearAllSeals();
-        queue.rx.clearAllSeals();
-        for (PacketBuf *&b : queue.txShadow) {
-            if (b)
-                reclaim(b);
-            b = nullptr;
-        }
-        // Drop wire-side packets queued into the dead device.
-        while (!queue.rxInput.empty())
-            (void)co_await queue.rxInput.get();
-
-        if (!frees.empty()) {
-            for (PacketBuf *b : frees)
-                b->nextSeg = nullptr; // Second segments are app memory.
-            co_await pool_->freeBurst(queue.nicAgent, frees.data(),
-                                      static_cast<int>(frees.size()),
-                                      q);
-            reclaimed += frees.size();
-        }
-
-        // Zero ring positions and signal caches; clear signal lines.
-        queue.txProd = queue.rxCons = queue.rxClearScan = 0;
-        queue.txFreeScan = queue.rxPostProd = 0;
-        queue.txCons = queue.txClearScan = 0;
-        queue.rxProd = queue.rxPostCons = 0;
-        queue.hostTxHeadCache = queue.nicTxTailCache = 0;
-        queue.hostRxTailCache = queue.nicRxHeadCache = 0;
-        queue.txTail.publish(0);
-        queue.txHead.publish(0);
-        queue.rxTail.publish(0);
-        queue.rxHead.publish(0);
-    }
-    // Surface the teardown leak audit through PoolTelemetry: after
-    // reclamation every buffer not held by the application must be
-    // back in the pool.
-    pool_->auditLeaks();
-    resetReclaimed_ += reclaimed;
-    resets_++;
-    obs::tracepoint(obs::EventKind::Custom, "ccnic.reset", sim_.now(),
-                    reclaimed);
-    co_return;
-}
-
-sim::Coro<void>
-CcNic::reinit()
-{
-    assert(devState_ == DevState::Down);
-    co_await sim_.delay(cycles(cfg_.nicCosts.perLoop * 8));
-    // Re-register profiler regions across the hot-reset, as a fresh
-    // driver attach would. reset() does not reallocate ring storage,
-    // so the ranges are identical and the region count must not leak.
-    unregisterProfRegions();
-    registerProfRegions();
-    wedged_ = false;
-    devState_ = DevState::Running;
-    runGate_.notifyAll();
-    for (auto &qp : queues_)
-        qp->wireDrained.notifyAll();
-    co_return;
-}
-
-sim::Coro<int>
-CcNic::allocBufs(int q, std::uint32_t size, PacketBuf **bufs, int count)
+std::vector<PacketBuf *>
+CcNic::sweepQueue(int q)
 {
     Queue &queue = *queues_[q];
-    co_await sim_.delay(
-        cycles(cfg_.hostCosts.perAllocFree * std::max(1, count / 8)));
-    int got = co_await pool_->allocBurst(queue.hostAgent, size, bufs,
-                                         count, q);
-    // Recycled buffers must not leak a previous transport header or
-    // a stale span slot.
-    for (int i = 0; i < got; ++i) {
-        bufs[i]->tp = {};
-        bufs[i]->span.clear();
+    // Reclaim every ring-owned buffer exactly once. A kConsumed slot's
+    // buffer has already changed hands (inline RX: the app took it;
+    // inline TX: the NIC freed it), so only non-consumed occupied
+    // slots are ring-owned. txShadow may alias TX slots (host-managed
+    // mode stores the buffer in both), so dedup. Free in first-seen
+    // order: a set of pointers iterates in an order that depends on
+    // where the heap placed the buffers, so the recycle order, and
+    // the rest of the run, would differ between processes.
+    std::unordered_set<PacketBuf *> seen;
+    std::vector<PacketBuf *> frees;
+    auto reclaim = [&seen, &frees](PacketBuf *b) {
+        if (seen.insert(b).second)
+            frees.push_back(b);
+    };
+    auto sweep = [&reclaim](driver::DescRing &ring) {
+        for (std::uint32_t i = 0; i < ring.entries(); ++i) {
+            auto &slot = ring.slot(i);
+            if (slot.buf && slot.meta != kConsumed)
+                reclaim(slot.buf);
+            slot.buf = nullptr;
+            slot.ready = false;
+            slot.meta = kRxEmpty;
+            slot.len = 0;
+            slot.gen = 0;
+            slot.csum = 0;
+        }
+    };
+    sweep(queue.tx);
+    sweep(queue.rx);
+    // Staged-but-unflushed publications never reached a slot, so the
+    // ring sweep cannot see their buffers: reclaim them here.
+    for (const auto &e : queue.txPending.take(true)) {
+        if (e.buf)
+            reclaim(e.buf);
     }
-    co_return got;
+    (void)queue.rxDevPending.take(true);
+    queue.tx.clearAllSeals();
+    queue.rx.clearAllSeals();
+    for (PacketBuf *&b : queue.txShadow) {
+        if (b)
+            reclaim(b);
+        b = nullptr;
+    }
+    return frees;
 }
 
-sim::Coro<void>
-CcNic::freeBufs(int q, PacketBuf **bufs, int count)
+void
+CcNic::rewindQueue(int q)
 {
     Queue &queue = *queues_[q];
-    co_await sim_.delay(
-        cycles(cfg_.hostCosts.perAllocFree * std::max(1, count / 8)));
-    co_await pool_->freeBurst(queue.hostAgent, bufs, count, q);
-    co_return;
+    // Zero ring positions and signal caches; clear signal lines.
+    queue.txProd = queue.rxCons = queue.rxClearScan = 0;
+    queue.txFreeScan = queue.rxPostProd = 0;
+    queue.txCons = queue.txClearScan = 0;
+    queue.rxProd = queue.rxPostCons = 0;
+    queue.hostTxHeadCache = queue.nicTxTailCache = 0;
+    queue.hostRxTailCache = queue.nicRxHeadCache = 0;
+    queue.txTail.publish(0);
+    queue.txHead.publish(0);
+    queue.rxTail.publish(0);
+    queue.rxHead.publish(0);
 }
 
 sim::Coro<int>
@@ -786,7 +522,6 @@ CcNic::flushTxBatch(int q, bool timeout_flush)
     const std::uint32_t backlog = queue.txProd - queue.txCons;
     auto entries = queue.txPending.take(timeout_flush, backlog);
 
-    batchFlushTotal_++;
     batchFlushes_.at(timeout_flush ? "timeout" : "full")++;
     if (queue.batchOcc)
         *queue.batchOcc += entries.size();
@@ -1543,7 +1278,6 @@ CcNic::nicRxTask(int q)
                 (void)queue.rxDevPending.take(
                     idle, static_cast<std::uint32_t>(
                               queue.rxInput.size()));
-                batchFlushTotal_++;
                 batchFlushes_.at(idle ? "idle" : "full")++;
                 if (queue.batchOcc)
                     *queue.batchOcc += placed.size();

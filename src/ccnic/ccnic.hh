@@ -22,12 +22,9 @@
 #ifndef CCN_CCNIC_CCNIC_HH
 #define CCN_CCNIC_CCNIC_HH
 
-#include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "driver/integrity.hh"
 #include "driver/mempool.hh"
 #include "driver/nic_iface.hh"
 #include "driver/ring.hh"
@@ -42,48 +39,8 @@
 
 namespace ccn::ccnic {
 
-/** A packet on the (modeled) wire: logical contents only. */
-struct WirePacket
-{
-    std::uint32_t len = 0;
-    sim::Tick txTime = 0;
-    std::uint64_t flowId = 0;
-    std::uint64_t userData = 0;
-    std::uint8_t segments = 1; ///< Descriptor slots consumed (extbuf).
-
-    /// @name Fabric addressing (src/net). 0 means "unset": the fabric
-    /// stamps src with the sending port's address on ingress, and a
-    /// dst of 0 never matches a forwarding-table entry.
-    /// @{
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    /// @}
-
-    /// Reliable-transport header (all-zero for raw traffic).
-    driver::TransportHeader tp;
-
-    /// Frame check sequence stamped by the NIC TX engine; 0 means
-    /// "unstamped" (packets injected directly by tests/harnesses).
-    std::uint32_t fcs = 0;
-
-    /// Lifecycle span slot riding across the wire (not FCS-covered:
-    /// telemetry, not packet contents). See obs/span.hh.
-    obs::PacketSpan span;
-};
-
-/**
- * CRC-32C over the packet's logical contents. Fabric addressing is
- * excluded from the covered fields because the source address is
- * stamped by the fabric port after the NIC computes the FCS.
- */
-std::uint32_t wireFcs(const WirePacket &pkt);
-
-/** Verify the FCS; unstamped packets (fcs == 0) always pass. */
-inline bool
-fcsOk(const WirePacket &pkt)
-{
-    return pkt.fcs == 0 || pkt.fcs == wireFcs(pkt);
-}
+/// The wire representation every interface family shares.
+using driver::WirePacket;
 
 /** Full configuration of a CC-NIC instance. */
 struct CcNicConfig
@@ -148,13 +105,6 @@ struct CcNicConfig
 /** The paper's optimized CC-NIC configuration. */
 CcNicConfig optimizedConfig(int num_queues, int host_socket);
 
-/**
- * Driver software costs calibrated per platform so that saturated
- * per-core 64B packet rates land on the paper's §5.3 measurements
- * (~21Mpps/core on ICX, ~28Mpps/core on SPR).
- */
-driver::CpuCosts platformCosts(const mem::PlatformConfig &plat);
-
 /** optimizedConfig() with platform-calibrated software costs. */
 CcNicConfig optimizedConfig(int num_queues, int host_socket,
                             const mem::PlatformConfig &plat);
@@ -180,98 +130,19 @@ class CcNic : public driver::NicInterface
     CcNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
           const CcNicConfig &config, int host_socket, int nic_socket,
           sim::Rng &rng);
-    ~CcNic();
 
-    /** Spawn the NIC-side processes. Call once before running. */
-    void start();
-
-    /// @name Wire attachment (external mode).
-    /// @{
-    /** Divert TX packets to an external sink instead of loopback. */
-    void
-    setTxSink(std::function<void(int, const WirePacket &)> sink)
-    {
-        txSink_ = std::move(sink);
-    }
-
-    /** Inject a packet for RX delivery on queue @p q. */
-    void injectRx(int q, const WirePacket &pkt);
-    /// @}
-
-    /// @name NicInterface implementation (host side).
+    /// @name NicInterface implementation.
     /// @{
     sim::Coro<int> txBurst(int q, driver::PacketBuf **bufs,
                            int count) override;
     sim::Coro<int> rxBurst(int q, driver::PacketBuf **bufs,
                            int count) override;
-    sim::Coro<int> allocBufs(int q, std::uint32_t size,
-                             driver::PacketBuf **bufs,
-                             int count) override;
-    sim::Coro<void> freeBufs(int q, driver::PacketBuf **bufs,
-                             int count) override;
     sim::Coro<void> idleWait(int q, sim::Tick deadline) override;
-    mem::AgentId hostAgent(int q) const override;
-    int numQueues() const override { return cfg_.numQueues; }
-    const driver::CpuCosts &cpuCosts() const override
-    {
-        return cfg_.hostCosts;
-    }
-    /// @}
-
-    /// @name Device lifecycle (NicInterface overrides).
-    /// @{
-    bool supportsLifecycle() const override { return true; }
-    bool operational() const override
-    {
-        return devState_ == DevState::Running;
-    }
-    sim::Coro<void> beatHost() override;
-    sim::Coro<std::uint64_t> readDeviceBeat() override;
     driver::QueueHealth health(int q) const override;
-    sim::Coro<void> quiesce() override;
-    sim::Coro<void> reset() override;
-    sim::Coro<void> reinit() override;
-    /// @}
-
-    /// @name Fault injection (chaos harness).
-    /// Wedging freezes the NIC-side engines without telling the
-    /// driver: heartbeats stop and rings stall, which is exactly what
-    /// the Watchdog must detect. reinit() clears the wedge.
-    /// @{
-    void wedge() override { wedged_ = true; }
-    void
-    unwedge()
-    {
-        wedged_ = false;
-        runGate_.notifyAll();
-    }
-    bool wedged() const { return wedged_; }
-    /// @}
-
-    mem::AgentId nicAgent(int q) const;
-    const CcNicConfig &config() const { return cfg_; }
-    driver::Mempool &pool() { return *pool_; }
-
-    std::size_t auditLeaks() override { return pool_->auditLeaks(); }
-
-    /// @name Datapath integrity (NicInterface overrides).
-    /// @{
-    std::uint64_t integrityRetries() const override
-    {
-        return integrity_.retries();
-    }
-    std::uint64_t integrityFaults() const override
-    {
-        return integrity_.faults();
-    }
     std::vector<mem::Addr> faultLines() const override;
     /// @}
 
-    /** Packets that have crossed TX processing (for reports). */
-    std::uint64_t txCount() const { return txCount_; }
-
-    /** RX packets discarded on FCS mismatch (corrupted on the wire). */
-    std::uint64_t rxCrcDrops() const { return rxCrcDrops_; }
+    const CcNicConfig &config() const { return cfg_; }
 
     /** Ring-signal reads (register reloads / inline-signal polls). */
     std::uint64_t signalReads() const { return signalReads_; }
@@ -279,18 +150,11 @@ class CcNic : public driver::NicInterface
     /** Ring-signal publishes (register writes / inline flag stores). */
     std::uint64_t signalWrites() const { return signalWrites_; }
 
-    /** Coalesced publish flushes performed (host TX + device RX). */
-    std::uint64_t batchFlushes() const { return batchFlushTotal_; }
-
   private:
-    struct Queue
+    struct Queue : QueueCore
     {
         Queue(sim::Simulator &sim, mem::CoherentSystem &m,
               const CcNicConfig &cfg, int host_socket, int nic_socket);
-
-
-        mem::AgentId hostAgent;
-        mem::AgentId nicAgent;
 
         driver::DescRing tx;
         driver::DescRing rx;
@@ -317,16 +181,6 @@ class CcNic : public driver::NicInterface
         std::uint64_t hostRxTailCache = 0;
         std::uint64_t nicRxHeadCache = 0;
 
-        sim::Mailbox<WirePacket> rxInput;
-        sim::Semaphore coreLock; ///< One NIC core serves both tasks.
-        sim::Gate wireDrained;   ///< RX engine drained below cap.
-
-        // Monotonic progress counters (survive resets); the Watchdog
-        // samples these through health() for stall detection.
-        std::uint64_t txSubmittedTotal = 0;
-        std::uint64_t txCompletedTotal = 0;
-        std::uint64_t rxDeliveredTotal = 0;
-
         /// Host-side TX publish staging (batched signal publication);
         /// empty whenever cfg.batch is off.
         driver::PublishBatch txPending;
@@ -339,32 +193,10 @@ class CcNic : public driver::NicInterface
         /// resolved once at construction so the hot path pays a
         /// pointer chase, not a label lookup.
         obs::Counter *sigReads = nullptr;
-        /// Per-queue batch-occupancy child ("ccnic.batch_occupancy"):
-        /// descriptors flushed; divide by flushes for mean occupancy.
-        obs::Counter *batchOcc = nullptr;
-    };
-
-    /** Device lifecycle state. */
-    enum class DevState : std::uint8_t
-    {
-        Running,   ///< Normal operation.
-        Quiescing, ///< Draining host and engine operations.
-        Down,      ///< Quiesced; awaiting reset()/reinit().
-    };
-
-    /** RAII host-operation counter (quiesce waits for it to drain). */
-    struct OpScope
-    {
-        int &n;
-        explicit OpScope(int &count) : n(count) { ++n; }
-        ~OpScope() { --n; }
-        OpScope(const OpScope &) = delete;
-        OpScope &operator=(const OpScope &) = delete;
     };
 
     sim::Task nicTxTask(int q);
     sim::Task nicRxTask(int q);
-    sim::Task heartbeatTask();
 
     /// @name Batched signal publication (Fig 16).
     /// @{
@@ -398,72 +230,25 @@ class CcNic : public driver::NicInterface
     }
     /// @}
 
-    /** Deliver a TX packet to the wire. */
-    void deliverTx(int q, const WirePacket &pkt);
-
-    /// @name Coherence-profiler regions.
+    /// @name Lifecycle hooks.
     /// Ring/signal/heartbeat ranges register under
-    /// "<regionTag>.tx_ring[qN]"-style names at construction and
-    /// re-register across hot-reset (reinit()) — ring storage is not
-    /// reallocated by reset(), so the ranges are stable and the
-    /// region count must not grow.
+    /// "<regionTag>.tx_ring[qN]"-style names.
     /// @{
-    void registerProfRegions();
-    void unregisterProfRegions();
+    void spawnEngines(int q) override;
+    std::vector<driver::PacketBuf *> sweepQueue(int q) override;
+    void rewindQueue(int q) override;
+    void registerProfRegions() override;
     /// @}
 
-    /**
-     * Consume-side integrity filter on one descriptor line: stale
-     * (torn/stuck) views read as not-ready, poisoned lines are
-     * retried inline (bounded). True = the line may be trusted.
-     */
-    sim::Coro<bool> consumeGuard(mem::Addr line);
-
-    /** Cycles-to-ticks on the given side. */
-    sim::Tick
-    cycles(double n) const
-    {
-        return mem_.config().cycles(n);
-    }
-
-    sim::Simulator &sim_;
-    mem::CoherentSystem &mem_;
     CcNicConfig cfg_;
     int hostSocket_;
     int nicSocket_;
 
-    driver::IntegrityGuard integrity_;
-    std::unique_ptr<driver::Mempool> pool_;
     std::vector<std::unique_ptr<Queue>> queues_;
-    std::function<void(int, const WirePacket &)> txSink_;
-    obs::Counter txCount_{"ccnic.tx_packets"};
-    obs::Counter rxCrcDrops_{"ccnic.rx_crc_drops"};
     obs::Counter signalReads_{"ccnic.signal_reads"};
     obs::LabeledCounter signalReadsQ_{"ccnic.signal_reads", "queue"};
     obs::Counter signalWrites_{"ccnic.signal_writes"};
     obs::Counter rxDelivered_{"ccnic.rx_delivered"};
-    obs::Counter heartbeats_{"ccnic.heartbeats"};
-    obs::Counter resets_{"ccnic.resets"};
-    obs::Counter resetReclaimed_{"ccnic.reset_reclaimed_bufs"};
-    obs::LabeledCounter batchFlushes_{"ccnic.batch_flushes", "reason"};
-    obs::LabeledCounter batchOccupancy_{"ccnic.batch_occupancy",
-                                        "queue"};
-    std::uint64_t batchFlushTotal_ = 0;
-    bool started_ = false;
-
-    // Lifecycle state. Heartbeat lines follow the same single-line
-    // pingpong discipline as descriptor signals: each direction has
-    // one cache line the writer bumps and the reader polls.
-    DevState devState_ = DevState::Running;
-    bool wedged_ = false;
-    int hostOps_ = 0;        ///< Host bursts in flight (quiesce drain).
-    sim::Gate runGate_;      ///< Parks NIC engines while not Running.
-    std::unique_ptr<driver::RegisterLine> hostBeat_; ///< Host-bumped.
-    std::unique_ptr<driver::RegisterLine> nicBeat_;  ///< NIC-bumped.
-
-    /// Live coherence-profiler region handles (rings, signal
-    /// registers, heartbeat lines).
-    std::vector<obs::RegionId> profRegions_;
 };
 
 } // namespace ccn::ccnic

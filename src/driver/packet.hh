@@ -8,6 +8,7 @@
  * payload contents are represented by the metadata a workload needs
  * (length, timestamp, flow/user tags) while every byte of the payload
  * is still charged through the memory system when written or read.
+ * A WirePacket is the same payload on the wire between NICs.
  */
 
 #ifndef CCN_DRIVER_PACKET_HH
@@ -97,6 +98,49 @@ struct PacketBuf
         return len + (nextSeg ? segLen : 0);
     }
 };
+
+/** A packet on the (modeled) wire: logical contents only. */
+struct WirePacket
+{
+    std::uint32_t len = 0;
+    sim::Tick txTime = 0;
+    std::uint64_t flowId = 0;
+    std::uint64_t userData = 0;
+    std::uint8_t segments = 1; ///< Descriptor slots consumed (extbuf).
+
+    /// @name Fabric addressing (src/net). 0 means "unset": the fabric
+    /// stamps src with the sending port's address on ingress, and a
+    /// dst of 0 never matches a forwarding-table entry.
+    /// @{
+    std::uint32_t src = 0;
+    std::uint32_t dst = 0;
+    /// @}
+
+    /// Reliable-transport header (all-zero for raw traffic).
+    TransportHeader tp;
+
+    /// Frame check sequence stamped by the NIC TX engine; 0 means
+    /// "unstamped" (packets injected directly by tests/harnesses).
+    std::uint32_t fcs = 0;
+
+    /// Lifecycle span slot riding across the wire (not FCS-covered:
+    /// telemetry, not packet contents). See obs/span.hh.
+    obs::PacketSpan span;
+};
+
+/**
+ * CRC-32C over the packet's logical contents. Fabric addressing is
+ * excluded from the covered fields because the source address is
+ * stamped by the fabric port after the NIC computes the FCS.
+ */
+std::uint32_t wireFcs(const WirePacket &pkt);
+
+/** Verify the FCS; unstamped packets (fcs == 0) always pass. */
+inline bool
+fcsOk(const WirePacket &pkt)
+{
+    return pkt.fcs == 0 || pkt.fcs == wireFcs(pkt);
+}
 
 } // namespace ccn::driver
 

@@ -70,6 +70,19 @@ struct BatchPolicy
     sim::Tick flushTimeout = sim::fromUs(1.0);
 
     bool enabled() const { return mode != BatchMode::Off; }
+
+    /**
+     * Clamp the target and its ceiling into [1, @p cap] so staged
+     * work can never cover more than the ring or slot array holds.
+     */
+    void
+    clampTo(std::uint32_t cap)
+    {
+        if (!enabled())
+            return;
+        size = std::min(std::max(1u, size), cap);
+        maxSize = std::min(std::max(size, maxSize), cap);
+    }
 };
 
 /**
@@ -166,7 +179,7 @@ class PublishBatch
 /**
  * CRC-32C (Castagnoli) over one 64-bit word, low byte first. The one
  * CRC routine of the datapath: descriptor integrity stamps and the
- * wire FCS (ccnic::wireFcs) both fold their field words through it,
+ * wire FCS (driver::wireFcs) both fold their field words through it,
  * so the same single-bit detection guarantee holds end to end.
  */
 inline std::uint32_t

@@ -159,7 +159,7 @@ Watchdog::monitorTask()
                             static_cast<std::uint64_t>(kind));
             if (failureCb_)
                 failureCb_(kind);
-            if (cfg_.autoRecover && nic_.supportsLifecycle()) {
+            if (cfg_.autoRecover) {
                 // Reset-storm backoff: a re-failure inside the window
                 // waits for the next check instead of resetting again.
                 if (sim_.now() < nextRecoverAllowed_)

@@ -5,6 +5,21 @@
 
 namespace ccn::net {
 
+NicPortHooks
+hooksFor(driver::NicInterface &nic)
+{
+    NicPortHooks h;
+    h.setTxSink =
+        [&nic](std::function<void(int, const WirePacket &)> sink) {
+            nic.setTxSink(std::move(sink));
+        };
+    h.injectRx = [&nic](int q, const WirePacket &pkt) {
+        nic.injectRx(q, pkt);
+    };
+    h.numQueues = nic.numQueues();
+    return h;
+}
+
 std::uint32_t
 Fabric::attach(const std::string &name, NicPortHooks hooks,
                const LinkConfig &uplink, const LinkConfig &downlink)

@@ -11,10 +11,10 @@
  * flow always lands on one queue while distinct flows spread across
  * all of them.
  *
- * NICs are attached through type-erased hooks (NicPortHooks) because
- * CcNic and PcieNic expose identical setTxSink/injectRx surfaces
- * without a common base class. The NIC must be configured with
- * loopback disabled; otherwise its TX sink is never consulted.
+ * NICs are attached through type-erased hooks (NicPortHooks);
+ * hooksFor() builds them for any driver::NicInterface. The NIC must
+ * be configured with loopback disabled; otherwise its TX sink is never
+ * consulted.
  */
 
 #ifndef CCN_NET_FABRIC_HH
@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/nic_iface.hh"
 #include "net/link.hh"
 #include "net/switch.hh"
 
@@ -43,22 +44,8 @@ struct NicPortHooks
     int numQueues = 1;
 };
 
-/** Build hooks for any NIC with setTxSink/injectRx/numQueues. */
-template <typename Nic>
-NicPortHooks
-hooksFor(Nic &nic)
-{
-    NicPortHooks h;
-    h.setTxSink =
-        [&nic](std::function<void(int, const WirePacket &)> sink) {
-            nic.setTxSink(std::move(sink));
-        };
-    h.injectRx = [&nic](int q, const WirePacket &pkt) {
-        nic.injectRx(q, pkt);
-    };
-    h.numQueues = nic.numQueues();
-    return h;
-}
+/** Attachment hooks for a NIC of any interface family. */
+NicPortHooks hooksFor(driver::NicInterface &nic);
 
 /**
  * RSS hash: mix a flow identifier into a queue index. A stand-in for

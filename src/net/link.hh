@@ -18,7 +18,7 @@
  * packet is held at the receive end until the next packet overtakes it
  * (or a hold timeout flushes it). Corruption flips a payload bit
  * without fixing the frame check sequence, so a receiver that verifies
- * the FCS (ccnic::fcsOk) sees a CRC error, not wrong data. Tests can
+ * the FCS (driver::fcsOk) sees a CRC error, not wrong data. Tests can
  * also force the next N packets to be dropped / corrupted / reordered
  * exactly, independent of the random profile.
  */
@@ -31,7 +31,7 @@
 #include <optional>
 #include <string>
 
-#include "ccnic/ccnic.hh"
+#include "driver/packet.hh"
 #include "obs/obs.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
@@ -39,7 +39,7 @@
 
 namespace ccn::net {
 
-using ccnic::WirePacket;
+using driver::WirePacket;
 
 /** Fault-injection profile for one link direction. */
 struct FaultProfile

@@ -1,7 +1,6 @@
 #include "nic/pcie_nic.hh"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/trace.hh"
 
@@ -75,7 +74,7 @@ namespace {
 driver::CpuCosts
 pcieDriverCosts(const mem::PlatformConfig &plat)
 {
-    driver::CpuCosts c = ccnic::platformCosts(plat);
+    driver::CpuCosts c = driver::platformCosts(plat);
     c.perPktTx *= 4.0;
     c.perPktRx *= 4.0;
     c.perDesc *= 2.5;
@@ -86,37 +85,40 @@ pcieDriverCosts(const mem::PlatformConfig &plat)
 } // namespace
 
 PcieNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
-                      const NicParams &p, int host_socket,
-                      pcie::PcieLink &link)
-    : hostAgent(m.addAgent(host_socket)),
+                      int host_socket, pcie::PcieLink &link)
+    : QueueCore(sim, m, host_socket, /*nic_socket=*/-1),
       tx(m, host_socket, kRingEntries, driver::RingLayout::Packed),
       rx(m, host_socket, kRingEntries, driver::RingLayout::Packed),
       txShadow(kRingEntries, nullptr),
       txHeadWb(m.alloc(host_socket, mem::kLineBytes, mem::kLineBytes)),
       doorbells(sim),
-      rxInput(sim),
       wc(sim, link, pcie::WcTarget::Device)
-{
-    (void)p;
-}
+{}
 
 PcieNic::PcieNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
                  const NicParams &params, int num_queues,
                  int host_socket, sim::Rng &rng)
-    : sim_(sim), mem_(mem_system), params_(params),
-      hostSocket_(host_socket),
-      costs_(pcieDriverCosts(mem_system.config())),
+    : NicInterface(sim, mem_system,
+                   {.prefix = "pcie_nic",
+                    .resetTrace = "pcie_nic.reset",
+                    .hostCosts = pcieDriverCosts(mem_system.config()),
+                    .beatPeriod = params.beatPeriod,
+                    .resetLat = params.resetLat,
+                    .reinitLat = sim::fromNs(500.0),
+                    .loopback = false,
+                    .countBeats = false}),
+      params_(params),
       link_(sim, params.pcie, mem_system, host_socket),
-      integrity_(mem_system), pipeline_(sim, params.pipelinePps),
-      runGate_(sim)
+      pipeline_(sim, params.pipelinePps)
 {
-    devBeatLine_ =
-        mem_.alloc(host_socket, mem::kLineBytes, mem::kLineBytes);
-    hostBeatLine_ =
-        mem_.alloc(host_socket, mem::kLineBytes, mem::kLineBytes);
+    // The device beat is a DDIO head-writeback-style line the device
+    // bumps; the host beat is a host-memory line.
+    nicBeat_ = std::make_unique<driver::RegisterLine>(mem_, host_socket);
+    hostBeat_ = std::make_unique<driver::RegisterLine>(mem_, host_socket);
     driver::MempoolConfig pool_cfg;
     pool_cfg.homeSocket = host_socket;
     pool_cfg.largeBufBytes = 2048; // Standard DPDK mbuf data room.
+    // One buffer class: every allocBufs() takes a 2KB mbuf.
     pool_cfg.smallBuffers = false;
     pool_cfg.sharedAccess = false;
     pool_cfg.recycleCache = true; // Software-only per-core cache.
@@ -128,26 +130,17 @@ PcieNic::PcieNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     pool_ = std::make_unique<driver::Mempool>(mem_, pool_cfg, rng);
     // Clamp the coalescing target well under the ring so deferred
     // doorbells can never cover more work than the ring holds.
-    if (params_.batch.enabled()) {
-        const std::uint32_t cap = kRingEntries / 4;
-        params_.batch.size =
-            std::min(std::max(1u, params_.batch.size), cap);
-        params_.batch.maxSize = std::min(
-            std::max(params_.batch.size, params_.batch.maxSize), cap);
-    }
+    params_.batch.clampTo(kRingEntries / 4);
     for (int q = 0; q < num_queues; ++q) {
-        queues_.push_back(std::make_unique<Queue>(sim_, mem_, params_,
-                                                  host_socket, link_));
+        queues_.push_back(
+            std::make_unique<Queue>(sim_, mem_, host_socket, link_));
+        addQueue(*queues_.back());
         queues_.back()->doorbellsQ =
             &doorbellsQ_.at(static_cast<std::uint64_t>(q));
         queues_.back()->dbPending.setPolicy(params_.batch);
-        queues_.back()->batchOcc =
-            &batchOccupancy_.at(static_cast<std::uint64_t>(q));
     }
     registerProfRegions();
 }
-
-PcieNic::~PcieNic() { unregisterProfRegions(); }
 
 void
 PcieNic::registerProfRegions()
@@ -174,70 +167,34 @@ PcieNic::registerProfRegions()
                                 qu.txHeadWb, mem::kLineBytes, intent));
     }
     profRegions_.push_back(prof.registerRegion(
-        "pcie.dev_beat", devBeatLine_, mem::kLineBytes, intent));
+        "pcie.dev_beat", nicBeat_->addr(), mem::kLineBytes, intent));
     profRegions_.push_back(prof.registerRegion(
-        "pcie.host_beat", hostBeatLine_, mem::kLineBytes, intent));
+        "pcie.host_beat", hostBeat_->addr(), mem::kLineBytes, intent));
 }
 
 void
-PcieNic::unregisterProfRegions()
+PcieNic::spawnEngines(int q)
 {
-    auto &prof = mem_.profiler();
-    for (auto id : profRegions_)
-        prof.unregisterRegion(id);
-    profRegions_.clear();
-}
-
-void
-PcieNic::start()
-{
-    assert(!started_);
-    started_ = true;
-    for (int q = 0; q < numQueues(); ++q) {
-        sim_.spawn(devTxEngine(q));
-        sim_.spawn(devRxEngine(q));
-        if (params_.batch.enabled())
-            sim_.spawn(txDoorbellTimerTask(q));
-    }
-    sim_.spawn(heartbeatTask());
-}
-
-sim::Task
-PcieNic::heartbeatTask()
-{
-    for (;;) {
-        co_await sim_.delay(params_.beatPeriod);
-        if (wedged_ || devState_ != DevState::Running)
-            continue; // Silence is the failure signal.
-        PcieNic *self = this;
-        link_.postedDmaWrite(devBeatLine_, 8,
-                             [self] { self->devBeatValue_++; });
-    }
+    sim_.spawn(devTxEngine(q));
+    sim_.spawn(devRxEngine(q));
+    if (params_.batch.enabled())
+        sim_.spawn(txDoorbellTimerTask(q));
 }
 
 sim::Coro<void>
-PcieNic::beatHost()
+PcieNic::publishDeviceBeat()
 {
-    co_await mem_.store(queues_[0]->hostAgent, hostBeatLine_, 8);
+    driver::RegisterLine *beat = nicBeat_.get();
+    link_.postedDmaWrite(beat->addr(), 8,
+                         [beat] { beat->publish(beat->value() + 1); });
     co_return;
-}
-
-sim::Coro<std::uint64_t>
-PcieNic::readDeviceBeat()
-{
-    // DDIO writeback target: an LLC hit for the host.
-    co_await mem_.load(queues_[0]->hostAgent, devBeatLine_, 8);
-    co_return devBeatValue_;
 }
 
 driver::QueueHealth
 PcieNic::health(int q) const
 {
     const Queue &queue = *queues_[q];
-    driver::QueueHealth h;
-    h.txSubmitted = queue.txSubmittedTotal;
-    h.txCompleted = queue.txCompletedTotal;
-    h.rxDelivered = queue.rxDeliveredTotal;
+    driver::QueueHealth h = queue.progress();
     h.txOutstanding = queue.txProd - queue.devTxCons;
     // Descriptors stored to the ring but whose doorbell is still being
     // coalesced: the device cannot see them, so the watchdog must not
@@ -247,110 +204,66 @@ PcieNic::health(int q) const
 }
 
 sim::Coro<void>
-PcieNic::quiesce()
+PcieNic::drainEngines()
 {
-    if (devState_ == DevState::Down)
-        co_return;
-    devState_ = DevState::Quiescing;
-    runGate_.notifyAll();
-    while (hostOps_ > 0 || devOps_ > 0)
+    while (*devOps_ > 0)
         co_await sim_.delay(sim::fromNs(100));
-    devState_ = DevState::Down;
     co_return;
 }
 
-sim::Coro<void>
-PcieNic::reset()
+std::vector<PacketBuf *>
+PcieNic::sweepQueue(int q)
 {
-    assert(devState_ == DevState::Down);
-    // Function-level reset; in-flight doorbells and DMA completions
-    // land during this window and are discarded below.
-    co_await sim_.delay(params_.resetLat);
-
-    std::uint64_t reclaimed = 0;
-    for (int q = 0; q < numQueues(); ++q) {
-        Queue &queue = *queues_[q];
-        // TX ownership is tracked by txShadow (the device never clears
-        // slot.buf, so TX ring slots can alias already-freed buffers);
-        // RX ring slots own their buffer while posted or completed.
-        std::vector<PacketBuf *> frees;
-        for (PacketBuf *&b : queue.txShadow) {
-            if (b) {
-                b->nextSeg = nullptr;
-                frees.push_back(b);
-            }
-            b = nullptr;
-        }
-        for (std::uint32_t i = 0; i < queue.rx.entries(); ++i) {
-            auto &slot = queue.rx.slot(i);
-            if (slot.buf && slot.meta != kRxEmpty) {
-                slot.buf->nextSeg = nullptr;
-                frees.push_back(slot.buf);
-            }
-            slot.buf = nullptr;
-            slot.ready = false;
-            slot.meta = kRxEmpty;
-            slot.len = 0;
-            slot.gen = 0;
-            slot.csum = 0;
-        }
-        for (std::uint32_t i = 0; i < queue.tx.entries(); ++i) {
-            auto &slot = queue.tx.slot(i);
-            slot.buf = nullptr;
-            slot.ready = false;
-            slot.meta = 0;
-            slot.len = 0;
-            slot.gen = 0;
-            slot.csum = 0;
-        }
-        if (!frees.empty()) {
-            co_await pool_->freeBurst(queue.hostAgent, frees.data(),
-                                      static_cast<int>(frees.size()),
-                                      q);
-            reclaimed += frees.size();
-        }
-        while (!queue.doorbells.empty())
-            (void)co_await queue.doorbells.get();
-        while (!queue.rxInput.empty())
-            (void)co_await queue.rxInput.get();
-        // Coalesced doorbells reference ring indices that no longer
-        // exist; drop them (buffers were reclaimed via txShadow above).
-        (void)queue.dbPending.take(/*timeout_flush=*/true);
-        queue.dbFlushedTail = 0;
-        queue.txProd = queue.txFreeScan = 0;
-        queue.rxCons = queue.rxPostProd = 0;
-        queue.devTxCons = queue.devTxTail = 0;
-        queue.devRxPostCons = queue.devRxPostTail = 0;
-        queue.txHeadValue = 0;
+    Queue &queue = *queues_[q];
+    // TX ownership is tracked by txShadow (the device never clears
+    // slot.buf, so TX ring slots can alias already-freed buffers); RX
+    // ring slots own their buffer while posted or completed.
+    std::vector<PacketBuf *> frees;
+    for (PacketBuf *&b : queue.txShadow) {
+        if (b)
+            frees.push_back(b);
+        b = nullptr;
     }
-    pool_->auditLeaks();
-    resetReclaimed_ += reclaimed;
-    resets_++;
-    obs::tracepoint(obs::EventKind::Custom, "pcie_nic.reset",
-                    sim_.now(), reclaimed);
-    co_return;
+    for (std::uint32_t i = 0; i < queue.rx.entries(); ++i) {
+        auto &slot = queue.rx.slot(i);
+        if (slot.buf && slot.meta != kRxEmpty)
+            frees.push_back(slot.buf);
+        slot.buf = nullptr;
+        slot.ready = false;
+        slot.meta = kRxEmpty;
+        slot.len = 0;
+        slot.gen = 0;
+        slot.csum = 0;
+    }
+    for (std::uint32_t i = 0; i < queue.tx.entries(); ++i) {
+        auto &slot = queue.tx.slot(i);
+        slot.buf = nullptr;
+        slot.ready = false;
+        slot.meta = 0;
+        slot.len = 0;
+        slot.gen = 0;
+        slot.csum = 0;
+    }
+    return frees;
 }
 
-sim::Coro<void>
-PcieNic::reinit()
+void
+PcieNic::rewindQueue(int q)
 {
-    assert(devState_ == DevState::Down);
-    co_await sim_.delay(sim::fromNs(500.0));
-    // Function-level reset does not reallocate rings or beat lines:
-    // the ranges are identical, so re-registration must not leak
-    // region slots.
-    unregisterProfRegions();
-    registerProfRegions();
-    wedged_ = false;
-    devState_ = DevState::Running;
-    runGate_.notifyAll();
-    co_return;
-}
-
-mem::AgentId
-PcieNic::hostAgent(int q) const
-{
-    return queues_[q]->hostAgent;
+    Queue &queue = *queues_[q];
+    // Function-level reset: doorbells, DMA completions and wire
+    // arrivals that landed during the reset window are discarded.
+    queue.doorbells.clear();
+    queue.rxInput.clear();
+    // Coalesced doorbells reference ring indices that no longer
+    // exist; drop them (buffers were reclaimed via txShadow).
+    (void)queue.dbPending.take(/*timeout_flush=*/true);
+    queue.dbFlushedTail = 0;
+    queue.txProd = queue.txFreeScan = 0;
+    queue.rxCons = queue.rxPostProd = 0;
+    queue.devTxCons = queue.devTxTail = 0;
+    queue.devRxPostCons = queue.devRxPostTail = 0;
+    queue.txHeadValue = 0;
 }
 
 std::vector<mem::Addr>
@@ -363,75 +276,6 @@ PcieNic::faultLines() const
     return {q.tx.lineOf(q.devTxCons), q.rx.lineOf(q.rxCons)};
 }
 
-sim::Coro<bool>
-PcieNic::consumeGuard(mem::Addr line)
-{
-    if (!mem_.faultsArmed())
-        co_return true;
-    if (integrity_.staleView(line, mem::kLineBytes)) {
-        integrity_.noteReject();
-        co_return false;
-    }
-    co_return co_await integrity_.guardRange(line, mem::kLineBytes);
-}
-
-void
-PcieNic::deliverTx(int q, const WirePacket &pkt)
-{
-    txCount_++;
-    // TX checksum offload: every packet leaves with a valid FCS.
-    WirePacket out = pkt;
-    out.span.stamp(obs::SpanStage::WireTx, sim_.now());
-    out.fcs = ccnic::wireFcs(out);
-    if (!loopback_ && txSink_) {
-        txSink_(q, out);
-        return;
-    }
-    out.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
-    queues_[q]->rxInput.put(out);
-}
-
-void
-PcieNic::injectRx(int q, const WirePacket &pkt)
-{
-    if (!ccnic::fcsOk(pkt)) {
-        rxCrcDrops_++;
-        return;
-    }
-    WirePacket in = pkt;
-    in.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
-    queues_[q]->rxInput.put(in);
-}
-
-sim::Coro<int>
-PcieNic::allocBufs(int q, std::uint32_t size, PacketBuf **bufs,
-                   int count)
-{
-    (void)size;
-    Queue &queue = *queues_[q];
-    co_await sim_.delay(mem_.config().cycles(
-        costs_.perAllocFree * std::max(1, count / 8)));
-    int got = co_await pool_->allocBurst(queue.hostAgent, 2048, bufs,
-                                         count, q);
-    // Recycled buffers must not leak a previous transport header or
-    // lifecycle span.
-    for (int i = 0; i < got; ++i) {
-        bufs[i]->tp = {};
-        bufs[i]->span.clear();
-    }
-    co_return got;
-}
-
-sim::Coro<void>
-PcieNic::freeBufs(int q, PacketBuf **bufs, int count)
-{
-    Queue &queue = *queues_[q];
-    co_await sim_.delay(mem_.config().cycles(
-        costs_.perAllocFree * std::max(1, count / 8)));
-    co_await pool_->freeBurst(queue.hostAgent, bufs, count, q);
-    co_return;
-}
-
 sim::Coro<int>
 PcieNic::txBurst(int q, PacketBuf **bufs, int count)
 {
@@ -439,7 +283,7 @@ PcieNic::txBurst(int q, PacketBuf **bufs, int count)
         co_return 0;
     OpScope guard(hostOps_);
     Queue &queue = *queues_[q];
-    co_await sim_.delay(mem_.config().cycles(costs_.perLoop));
+    co_await sim_.delay(mem_.config().cycles(cpuCosts().perLoop));
 
     // Reap TX completions from the head writeback line (DDIO: an LLC
     // hit, no PCIe roundtrip).
@@ -489,7 +333,7 @@ PcieNic::txBurst(int q, PacketBuf **bufs, int count)
     for (const Pending &p : pending)
         obs::SpanTable::global().maybeStart(p.buf->span, sim_.now());
     co_await sim_.delay(mem_.config().cycles(
-        (costs_.perPktTx + costs_.perDesc) * count));
+        (cpuCosts().perPktTx + cpuCosts().perDesc) * count));
     // Descriptor stores always land now; only the doorbell may be
     // coalesced. BatchFlush therefore stamps at store initiation, and
     // any doorbell hold shows up in DescPublish -> NicObserve.
@@ -556,7 +400,6 @@ PcieNic::flushTxDoorbell(int q, bool timeout_flush)
     const auto entries = queue.dbPending.take(timeout_flush, backlog);
     if (entries.empty())
         co_return;
-    batchFlushTotal_++;
     batchFlushes_.at(timeout_flush ? "timeout" : "full")++;
     if (queue.batchOcc)
         *queue.batchOcc += entries.size();
@@ -604,7 +447,7 @@ PcieNic::rxBurst(int q, PacketBuf **bufs, int count)
         co_return 0;
     OpScope guard(hostOps_);
     Queue &queue = *queues_[q];
-    co_await sim_.delay(mem_.config().cycles(costs_.perLoop));
+    co_await sim_.delay(mem_.config().cycles(cpuCosts().perLoop));
 
     // Integrity gate: a poisoned or stale completion line must not be
     // trusted; retry on the next poll (transport covers any delay).
@@ -637,7 +480,7 @@ PcieNic::rxBurst(int q, PacketBuf **bufs, int count)
     if (collected > 0) {
         co_await mem_.accessMulti(queue.hostAgent, load_spans, false);
         co_await sim_.delay(mem_.config().cycles(
-            (costs_.perPktRx + costs_.perDesc) * collected));
+            (cpuCosts().perPktRx + cpuCosts().perDesc) * collected));
         queue.rxDeliveredTotal += static_cast<std::uint64_t>(collected);
         for (int i = 0; i < collected; ++i) {
             if (bufs[i]->span.active)

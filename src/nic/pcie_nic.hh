@@ -22,8 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "ccnic/ccnic.hh"
-#include "driver/integrity.hh"
 #include "driver/mempool.hh"
 #include "driver/nic_iface.hh"
 #include "driver/ring.hh"
@@ -32,7 +30,7 @@
 
 namespace ccn::nic {
 
-using ccnic::WirePacket;
+using driver::WirePacket;
 
 /** Device pipeline parameters. */
 struct NicParams
@@ -89,22 +87,6 @@ class PcieNic : public driver::NicInterface
     PcieNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
             const NicParams &params, int num_queues, int host_socket,
             sim::Rng &rng);
-    ~PcieNic();
-
-    /** Spawn device engines. Call once before running. */
-    void start();
-
-    /// @name Wire attachment (external mode, for applications).
-    /// @{
-    void
-    setTxSink(std::function<void(int, const WirePacket &)> sink)
-    {
-        txSink_ = std::move(sink);
-        loopback_ = false;
-    }
-
-    void injectRx(int q, const WirePacket &pkt);
-    /// @}
 
     /// @name NicInterface implementation.
     /// @{
@@ -112,86 +94,16 @@ class PcieNic : public driver::NicInterface
                            int count) override;
     sim::Coro<int> rxBurst(int q, driver::PacketBuf **bufs,
                            int count) override;
-    sim::Coro<int> allocBufs(int q, std::uint32_t size,
-                             driver::PacketBuf **bufs,
-                             int count) override;
-    sim::Coro<void> freeBufs(int q, driver::PacketBuf **bufs,
-                             int count) override;
     sim::Coro<void> idleWait(int q, sim::Tick deadline) override;
-    mem::AgentId hostAgent(int q) const override;
-    int numQueues() const override
-    {
-        return static_cast<int>(queues_.size());
-    }
-    const driver::CpuCosts &cpuCosts() const override { return costs_; }
-    /// @}
-
-    /// @name Device lifecycle (NicInterface overrides).
-    /// @{
-    bool supportsLifecycle() const override { return true; }
-    bool operational() const override
-    {
-        return devState_ == DevState::Running;
-    }
-    sim::Coro<void> beatHost() override;
-    sim::Coro<std::uint64_t> readDeviceBeat() override;
     driver::QueueHealth health(int q) const override;
-    sim::Coro<void> quiesce() override;
-    sim::Coro<void> reset() override;
-    sim::Coro<void> reinit() override;
-    /// @}
-
-    /// @name Fault injection (chaos harness).
-    /// @{
-    void wedge() override { wedged_ = true; }
-    void
-    unwedge()
-    {
-        wedged_ = false;
-        runGate_.notifyAll();
-    }
-    bool wedged() const { return wedged_; }
-    /// @}
-
-    const NicParams &params() const { return params_; }
-
-    driver::Mempool &pool() { return *pool_; }
-
-    std::size_t auditLeaks() override { return pool_->auditLeaks(); }
-
-    /// @name Datapath integrity (NicInterface overrides).
-    /// @{
-    std::uint64_t integrityRetries() const override
-    {
-        return integrity_.retries();
-    }
-    std::uint64_t integrityFaults() const override
-    {
-        return integrity_.faults();
-    }
     std::vector<mem::Addr> faultLines() const override;
     /// @}
 
-    /** RX packets discarded on FCS mismatch (corrupted on the wire). */
-    std::uint64_t rxCrcDrops() const { return rxCrcDrops_; }
-
-    /** MMIO doorbell writes issued by the host driver. */
-    std::uint64_t doorbells() const { return doorbells_; }
-
-    /** Packets that have crossed device TX processing. */
-    std::uint64_t txCount() const { return txCount_; }
-
-    /** Coalesced doorbell flushes performed. */
-    std::uint64_t batchFlushes() const { return batchFlushTotal_; }
-
   private:
-    struct Queue
+    struct Queue : QueueCore
     {
         Queue(sim::Simulator &sim, mem::CoherentSystem &m,
-              const NicParams &p, int host_socket,
-              pcie::PcieLink &link);
-
-        mem::AgentId hostAgent;
+              int host_socket, pcie::PcieLink &link);
 
         // Host-memory rings (E810 layout: packed 16B descriptors).
         driver::DescRing tx;
@@ -222,41 +134,14 @@ class PcieNic : public driver::NicInterface
         std::uint64_t txHeadValue = 0;
 
         sim::Mailbox<std::uint32_t> doorbells;
-        sim::Mailbox<WirePacket> rxInput;
         pcie::WcWindow wc;
-
-        // Monotonic progress counters (survive resets).
-        std::uint64_t txSubmittedTotal = 0;
-        std::uint64_t txCompletedTotal = 0;
-        std::uint64_t rxDeliveredTotal = 0;
 
         /// Per-queue doorbell child of pcie_nic.doorbells{queue=}.
         obs::Counter *doorbellsQ = nullptr;
-        /// Per-queue batch-occupancy child (descriptors per doorbell).
-        obs::Counter *batchOcc = nullptr;
-    };
-
-    /** Device lifecycle state. */
-    enum class DevState : std::uint8_t
-    {
-        Running,
-        Quiescing,
-        Down,
-    };
-
-    /** RAII in-flight-operation counter (quiesce waits on it). */
-    struct OpScope
-    {
-        int &n;
-        explicit OpScope(int &count) : n(count) { ++n; }
-        ~OpScope() { --n; }
-        OpScope(const OpScope &) = delete;
-        OpScope &operator=(const OpScope &) = delete;
     };
 
     sim::Task devTxEngine(int q);
     sim::Task devRxEngine(int q);
-    sim::Task heartbeatTask();
 
     /// @name Doorbell coalescing (Fig 16).
     /// @{
@@ -266,59 +151,27 @@ class PcieNic : public driver::NicInterface
     sim::Task txDoorbellTimerTask(int q);
     /// @}
 
-    void deliverTx(int q, const WirePacket &pkt);
+    /// @name Lifecycle hooks ("pcie.*" profiler regions).
+    /// The device beat is a posted DMA write of a DDIO liveness line
+    /// (PCIe devices do not poll host liveness in this model), and
+    /// quiesce waits on in-flight engine batches, not core locks.
+    /// @{
+    void spawnEngines(int q) override;
+    sim::Coro<void> publishDeviceBeat() override;
+    sim::Coro<void> drainEngines() override;
+    std::vector<driver::PacketBuf *> sweepQueue(int q) override;
+    void rewindQueue(int q) override;
+    void registerProfRegions() override;
+    /// @}
 
-    /**
-     * Gate a host-side descriptor consume on line @p line: reject a
-     * stale (torn/stuck) view outright and absorb transient poison
-     * with the bounded retry loop.
-     */
-    sim::Coro<bool> consumeGuard(mem::Addr line);
-
-    sim::Simulator &sim_;
-    mem::CoherentSystem &mem_;
     NicParams params_;
-    int hostSocket_;
-    driver::CpuCosts costs_;
-
     pcie::PcieLink link_;
-    driver::IntegrityGuard integrity_;
     sim::CalendarResource pipeline_;
-    std::unique_ptr<driver::Mempool> pool_;
     std::vector<std::unique_ptr<Queue>> queues_;
-    std::function<void(int, const WirePacket &)> txSink_;
-    bool loopback_ = true;
-    obs::Counter rxCrcDrops_{"pcie_nic.rx_crc_drops"};
     obs::Counter doorbells_{"pcie_nic.doorbells"};
     obs::LabeledCounter doorbellsQ_{"pcie_nic.doorbells", "queue"};
-    obs::Counter txCount_{"pcie_nic.tx_packets"};
-    obs::Counter resets_{"pcie_nic.resets"};
-    obs::Counter resetReclaimed_{"pcie_nic.reset_reclaimed_bufs"};
-    obs::LabeledCounter batchFlushes_{"pcie_nic.batch_flushes",
-                                      "reason"};
-    obs::LabeledCounter batchOccupancy_{"pcie_nic.batch_occupancy",
-                                        "queue"};
-    std::uint64_t batchFlushTotal_ = 0;
-    bool started_ = false;
-
-    // Lifecycle state. The device heartbeat is a DDIO head-writeback-
-    // style line the device bumps; the host beat is a host-memory line
-    // (PCIe devices do not poll host liveness in this model).
-    DevState devState_ = DevState::Running;
-    bool wedged_ = false;
-    int hostOps_ = 0; ///< Host bursts in flight.
-    int devOps_ = 0;  ///< Device engine batches in flight.
-    sim::Gate runGate_;
-    mem::Addr devBeatLine_ = 0;
-    mem::Addr hostBeatLine_ = 0;
-
-    /// @name Coherence-profiler regions ("pcie.*").
-    /// @{
-    void registerProfRegions();
-    void unregisterProfRegions();
-    std::vector<obs::RegionId> profRegions_;
-    /// @}
-    std::uint64_t devBeatValue_ = 0;
+    /// Device engine batches in flight.
+    std::shared_ptr<int> devOps_ = std::make_shared<int>(0);
 };
 
 } // namespace ccn::nic

@@ -1,7 +1,6 @@
 #include "pio/pio.hh"
 
 #include <algorithm>
-#include <cassert>
 
 namespace ccn::pio {
 
@@ -49,8 +48,8 @@ upiConfig(int num_queues, int host_socket,
           const mem::PlatformConfig &plat)
 {
     Config cfg = upiConfig(num_queues, host_socket);
-    cfg.hostCosts = ccnic::platformCosts(plat);
-    cfg.nicCosts = ccnic::platformCosts(plat);
+    cfg.hostCosts = driver::platformCosts(plat);
+    cfg.nicCosts = driver::platformCosts(plat);
     return cfg;
 }
 
@@ -73,20 +72,16 @@ cxlConfig(int num_queues, int host_socket,
           const mem::PlatformConfig &plat)
 {
     Config cfg = cxlConfig(num_queues, host_socket);
-    cfg.hostCosts = ccnic::platformCosts(plat);
-    cfg.nicCosts = ccnic::platformCosts(plat);
+    cfg.hostCosts = driver::platformCosts(plat);
+    cfg.nicCosts = driver::platformCosts(plat);
     return cfg;
 }
 
 PioNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
                      const Config &cfg, int host_socket, int nic_socket)
-    : hostAgent(m.addAgent(host_socket)),
-      nicAgent(m.addAgent(nic_socket)),
+    : QueueCore(sim, m, host_socket, nic_socket),
       txSlots(cfg.numSlots),
-      rxSlots(cfg.numSlots),
-      rxInput(sim),
-      coreLock(sim, 1),
-      wireDrained(sim)
+      rxSlots(cfg.numSlots)
 {
     const std::uint64_t bytes = static_cast<std::uint64_t>(cfg.numSlots) *
                                 cfg.slotLines * mem::kLineBytes;
@@ -100,9 +95,21 @@ PioNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
 PioNic::PioNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
                const Config &config, int host_socket, int nic_socket,
                sim::Rng &rng)
-    : sim_(sim), mem_(mem_system), cfg_(config),
-      hostSocket_(host_socket), nicSocket_(nic_socket),
-      integrity_(mem_system), runGate_(sim)
+    : NicInterface(sim, mem_system,
+                   {.prefix = "pio",
+                    .resetTrace = "pio.reset",
+                    .hostCosts = config.hostCosts,
+                    .beatPeriod = config.beatPeriod,
+                    .resetLat = config.resetLat,
+                    .reinitLat = mem_system.config().cycles(
+                        config.nicCosts.perLoop * 8),
+                    .wireLat = config.wireLat,
+                    .loopback = config.loopback,
+                    // A consume trusts a whole slot, not one line.
+                    .guardBytes = std::max<std::uint32_t>(
+                                      1, config.slotLines) *
+                                  mem::kLineBytes}),
+      cfg_(config), hostSocket_(host_socket), nicSocket_(nic_socket)
 {
     cfg_.pool.homeSocket = host_socket;
     // Slot index arithmetic masks with numSlots-1.
@@ -117,32 +124,22 @@ PioNic::PioNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     // Clamp the credit-coalescing target to a quarter of the slot
     // array: held credits shrink the flow-control window, and a target
     // at or above numSlots would wedge the producer permanently.
-    if (cfg_.batch.enabled()) {
-        const std::uint32_t cap =
-            std::max<std::uint32_t>(1, cfg_.numSlots / 4);
-        cfg_.batch.size =
-            std::min(std::max(1u, cfg_.batch.size), cap);
-        cfg_.batch.maxSize = std::min(
-            std::max(cfg_.batch.size, cfg_.batch.maxSize), cap);
-    }
+    cfg_.batch.clampTo(std::max<std::uint32_t>(1, cfg_.numSlots / 4));
     pool_ = std::make_unique<driver::Mempool>(mem_, cfg_.pool, rng);
     for (int q = 0; q < cfg_.numQueues; ++q) {
         queues_.push_back(std::make_unique<Queue>(
             sim_, mem_, cfg_, hostSocket_, nicSocket_));
+        addQueue(*queues_.back());
         queues_.back()->polls =
             &slotPollsQ_.at(static_cast<std::uint64_t>(q));
         queues_.back()->rxCreditPending.setPolicy(cfg_.batch);
         queues_.back()->txCreditPending.setPolicy(cfg_.batch);
-        queues_.back()->batchOcc =
-            &batchOccupancy_.at(static_cast<std::uint64_t>(q));
     }
     hostBeat_ =
         std::make_unique<driver::RegisterLine>(mem_, hostSocket_);
     nicBeat_ = std::make_unique<driver::RegisterLine>(mem_, nicSocket_);
     registerProfRegions();
 }
-
-PioNic::~PioNic() { unregisterProfRegions(); }
 
 void
 PioNic::registerProfRegions()
@@ -172,38 +169,12 @@ PioNic::registerProfRegions()
 }
 
 void
-PioNic::unregisterProfRegions()
+PioNic::spawnEngines(int q)
 {
-    auto &prof = mem_.profiler();
-    for (auto id : profRegions_)
-        prof.unregisterRegion(id);
-    profRegions_.clear();
-}
-
-void
-PioNic::start()
-{
-    assert(!started_);
-    started_ = true;
-    for (int q = 0; q < cfg_.numQueues; ++q) {
-        sim_.spawn(devTxTask(q));
-        sim_.spawn(devRxTask(q));
-        if (cfg_.batch.enabled())
-            sim_.spawn(rxCreditTimerTask(q));
-    }
-    sim_.spawn(heartbeatTask());
-}
-
-mem::AgentId
-PioNic::hostAgent(int q) const
-{
-    return queues_[q]->hostAgent;
-}
-
-mem::AgentId
-PioNic::nicAgent(int q) const
-{
-    return queues_[q]->nicAgent;
+    sim_.spawn(devTxTask(q));
+    sim_.spawn(devRxTask(q));
+    if (cfg_.batch.enabled())
+        sim_.spawn(rxCreditTimerTask(q));
 }
 
 std::vector<mem::Addr>
@@ -215,218 +186,50 @@ PioNic::faultLines() const
     return {txLineOf(q, q.txCons), rxLineOf(q, q.rxCons)};
 }
 
-sim::Coro<bool>
-PioNic::consumeGuard(mem::Addr line)
-{
-    if (!mem_.faultsArmed())
-        co_return true;
-    if (integrity_.staleView(line, slotBytes())) {
-        integrity_.noteReject();
-        co_return false;
-    }
-    co_return co_await integrity_.guardRange(line, slotBytes());
-}
-
-void
-PioNic::deliverTx(int q, const WirePacket &pkt)
-{
-    txCount_++;
-    WirePacket out = pkt;
-    out.span.stamp(obs::SpanStage::WireTx, sim_.now());
-    out.fcs = ccnic::wireFcs(out);
-    if (!cfg_.loopback && txSink_) {
-        txSink_(q, out);
-        return;
-    }
-    if (cfg_.wireLat == 0) {
-        out.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
-        queues_[q]->rxInput.put(out);
-    } else {
-        Queue *queue = queues_[q].get();
-        sim_.scheduleCallback(sim_.now() + cfg_.wireLat,
-                              [queue, out, simp = &sim_]() mutable {
-                                  out.span.stamp(
-                                      obs::SpanStage::LinkDeliver,
-                                      simp->now());
-                                  queue->rxInput.put(out);
-                              });
-    }
-}
-
-void
-PioNic::injectRx(int q, const WirePacket &pkt)
-{
-    if (!ccnic::fcsOk(pkt)) {
-        rxCrcDrops_++;
-        return;
-    }
-    WirePacket in = pkt;
-    in.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
-    queues_[q]->rxInput.put(in);
-}
-
-sim::Task
-PioNic::heartbeatTask()
-{
-    for (;;) {
-        co_await sim_.delay(cfg_.beatPeriod);
-        // A wedged or down device goes silent: that silence is the
-        // Watchdog's failure signal.
-        if (wedged_ || devState_ != DevState::Running)
-            continue;
-        const mem::AgentId agent = queues_[0]->nicAgent;
-        co_await mem_.store(agent, nicBeat_->addr(), 8);
-        nicBeat_->publish(nicBeat_->value() + 1);
-        heartbeats_++;
-        co_await mem_.load(agent, hostBeat_->addr(), 8);
-    }
-}
-
-sim::Coro<void>
-PioNic::beatHost()
-{
-    const mem::AgentId agent = queues_[0]->hostAgent;
-    co_await mem_.store(agent, hostBeat_->addr(), 8);
-    hostBeat_->publish(hostBeat_->value() + 1);
-    co_return;
-}
-
-sim::Coro<std::uint64_t>
-PioNic::readDeviceBeat()
-{
-    co_await mem_.load(queues_[0]->hostAgent, nicBeat_->addr(), 8);
-    co_return nicBeat_->value();
-}
-
 driver::QueueHealth
 PioNic::health(int q) const
 {
     const Queue &queue = *queues_[q];
-    driver::QueueHealth h;
-    h.txSubmitted = queue.txSubmittedTotal;
-    h.txCompleted = queue.txCompletedTotal;
-    h.rxDelivered = queue.rxDeliveredTotal;
+    driver::QueueHealth h = queue.progress();
     h.txOutstanding = queue.txProd - queue.txCons;
     return h;
 }
 
-sim::Coro<void>
-PioNic::quiesce()
+std::vector<PacketBuf *>
+PioNic::sweepQueue(int q)
 {
-    if (devState_ == DevState::Down)
-        co_return;
-    devState_ = DevState::Quiescing;
-    runGate_.notifyAll();
-    for (auto &qp : queues_)
-        qp->wireDrained.notifyAll();
-    while (hostOps_ > 0)
-        co_await sim_.delay(sim::fromNs(100));
-    // Sweep each queue's core lock: once it can be taken, no device
-    // engine is mid-batch on that queue.
-    for (auto &qp : queues_) {
-        co_await qp->coreLock.acquire();
-        qp->coreLock.release();
-    }
-    devState_ = DevState::Down;
-    co_return;
-}
-
-sim::Coro<void>
-PioNic::reset()
-{
-    assert(devState_ == DevState::Down);
-    co_await sim_.delay(cfg_.resetLat);
-
-    std::uint64_t reclaimed = 0;
-    for (int q = 0; q < cfg_.numQueues; ++q) {
-        Queue &queue = *queues_[q];
-        // Reclaim every slot-held spill buffer. Inline messages hold
-        // no buffer; a Taken RX slot's spill already changed hands at
-        // reap, so only slots still pointing at one are device-owned.
-        std::vector<PacketBuf *> frees;
-        auto sweep = [&frees](std::vector<MsgSlot> &slots) {
-            for (MsgSlot &s : slots) {
-                if (s.spill) {
-                    s.spill->nextSeg = nullptr;
-                    frees.push_back(s.spill);
-                }
-                s.spill = nullptr;
-                s.msg = WirePacket{};
-                s.seq = 0;
-                s.state = SlotState::Free;
-            }
-        };
-        sweep(queue.txSlots);
-        sweep(queue.rxSlots);
-        // Drop wire-side packets queued into the dead device.
-        while (!queue.rxInput.empty())
-            (void)co_await queue.rxInput.get();
-
-        if (!frees.empty()) {
-            co_await pool_->freeBurst(queue.nicAgent, frees.data(),
-                                      static_cast<int>(frees.size()),
-                                      q);
-            reclaimed += frees.size();
+    Queue &queue = *queues_[q];
+    // Reclaim every slot-held spill buffer. Inline messages hold no
+    // buffer; a Taken RX slot's spill already changed hands at reap,
+    // so only slots still pointing at one are device-owned.
+    std::vector<PacketBuf *> frees;
+    auto sweep = [&frees](std::vector<MsgSlot> &slots) {
+        for (MsgSlot &s : slots) {
+            if (s.spill)
+                frees.push_back(s.spill);
+            s.spill = nullptr;
+            s.msg = WirePacket{};
+            s.seq = 0;
+            s.state = SlotState::Free;
         }
-
-        // Pending credit flushes reference slots the sweep above just
-        // freed; drop them (the entries carry no buffers).
-        (void)queue.rxCreditPending.take(/*timeout_flush=*/true);
-        (void)queue.txCreditPending.take(/*timeout_flush=*/true);
-
-        queue.txProd = queue.txCons = 0;
-        queue.rxProd = queue.rxCons = 0;
-        queue.txSeq = queue.txSeqSeen = 0;
-        queue.rxSeq = queue.rxSeqSeen = 0;
-    }
-    pool_->auditLeaks();
-    resetReclaimed_ += reclaimed;
-    resets_++;
-    obs::tracepoint(obs::EventKind::Custom, "pio.reset", sim_.now(),
-                    reclaimed);
-    co_return;
+    };
+    sweep(queue.txSlots);
+    sweep(queue.rxSlots);
+    return frees;
 }
 
-sim::Coro<void>
-PioNic::reinit()
-{
-    assert(devState_ == DevState::Down);
-    co_await sim_.delay(cycles(cfg_.nicCosts.perLoop * 8));
-    // Reset does not reallocate slot arrays or beat lines: ranges are
-    // identical, so re-registration must not leak region slots.
-    unregisterProfRegions();
-    registerProfRegions();
-    wedged_ = false;
-    devState_ = DevState::Running;
-    runGate_.notifyAll();
-    for (auto &qp : queues_)
-        qp->wireDrained.notifyAll();
-    co_return;
-}
-
-sim::Coro<int>
-PioNic::allocBufs(int q, std::uint32_t size, PacketBuf **bufs, int count)
+void
+PioNic::rewindQueue(int q)
 {
     Queue &queue = *queues_[q];
-    co_await sim_.delay(
-        cycles(cfg_.hostCosts.perAllocFree * std::max(1, count / 8)));
-    int got = co_await pool_->allocBurst(queue.hostAgent, size, bufs,
-                                         count, q);
-    for (int i = 0; i < got; ++i) {
-        bufs[i]->tp = {};
-        bufs[i]->span.clear();
-    }
-    co_return got;
-}
-
-sim::Coro<void>
-PioNic::freeBufs(int q, PacketBuf **bufs, int count)
-{
-    Queue &queue = *queues_[q];
-    co_await sim_.delay(
-        cycles(cfg_.hostCosts.perAllocFree * std::max(1, count / 8)));
-    co_await pool_->freeBurst(queue.hostAgent, bufs, count, q);
-    co_return;
+    // Pending credit flushes reference slots the sweep just freed;
+    // drop them (the entries carry no buffers).
+    (void)queue.rxCreditPending.take(/*timeout_flush=*/true);
+    (void)queue.txCreditPending.take(/*timeout_flush=*/true);
+    queue.txProd = queue.txCons = 0;
+    queue.rxProd = queue.rxCons = 0;
+    queue.txSeq = queue.txSeqSeen = 0;
+    queue.rxSeq = queue.rxSeqSeen = 0;
 }
 
 sim::Coro<int>
@@ -829,7 +632,6 @@ PioNic::flushTxCredits(int q, bool idle_flush)
         idle_flush, queue.txProd - queue.txCons);
     if (entries.empty())
         co_return;
-    batchFlushTotal_++;
     batchFlushes_.at(idle_flush ? "idle" : "full")++;
     if (queue.batchOcc)
         *queue.batchOcc += entries.size();
@@ -862,7 +664,6 @@ PioNic::flushRxCredits(int q, bool timeout_flush)
         static_cast<std::uint32_t>(queue.rxInput.size()));
     if (entries.empty())
         co_return;
-    batchFlushTotal_++;
     batchFlushes_.at(timeout_flush ? "timeout" : "full")++;
     if (queue.batchOcc)
         *queue.batchOcc += entries.size();

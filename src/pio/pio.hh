@@ -41,13 +41,10 @@
 #ifndef CCN_PIO_PIO_HH
 #define CCN_PIO_PIO_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "ccnic/ccnic.hh"
-#include "driver/integrity.hh"
 #include "driver/mempool.hh"
 #include "driver/nic_iface.hh"
 #include "driver/ring.hh"
@@ -64,7 +61,7 @@ namespace ccn::pio {
 
 /// The wire representation is shared with the ring interfaces so the
 /// fabric, transport and chaos harness treat all families alike.
-using ccnic::WirePacket;
+using driver::WirePacket;
 
 /** Full configuration of a PioNic instance. */
 struct Config
@@ -157,94 +154,19 @@ class PioNic : public driver::NicInterface
     PioNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
            const Config &config, int host_socket, int nic_socket,
            sim::Rng &rng);
-    ~PioNic();
 
-    /** Spawn the device-side processes. Call once before running. */
-    void start();
-
-    /// @name Wire attachment (external mode; net::hooksFor-compatible).
-    /// @{
-    void
-    setTxSink(std::function<void(int, const WirePacket &)> sink)
-    {
-        txSink_ = std::move(sink);
-    }
-
-    /** Inject a packet for RX delivery on queue @p q. */
-    void injectRx(int q, const WirePacket &pkt);
-    /// @}
-
-    /// @name NicInterface implementation (host side).
+    /// @name NicInterface implementation.
     /// @{
     sim::Coro<int> txBurst(int q, driver::PacketBuf **bufs,
                            int count) override;
     sim::Coro<int> rxBurst(int q, driver::PacketBuf **bufs,
                            int count) override;
-    sim::Coro<int> allocBufs(int q, std::uint32_t size,
-                             driver::PacketBuf **bufs,
-                             int count) override;
-    sim::Coro<void> freeBufs(int q, driver::PacketBuf **bufs,
-                             int count) override;
     sim::Coro<void> idleWait(int q, sim::Tick deadline) override;
-    mem::AgentId hostAgent(int q) const override;
-    int numQueues() const override { return cfg_.numQueues; }
-    const driver::CpuCosts &cpuCosts() const override
-    {
-        return cfg_.hostCosts;
-    }
-    /// @}
-
-    /// @name Device lifecycle (NicInterface overrides).
-    /// @{
-    bool supportsLifecycle() const override { return true; }
-    bool operational() const override
-    {
-        return devState_ == DevState::Running;
-    }
-    sim::Coro<void> beatHost() override;
-    sim::Coro<std::uint64_t> readDeviceBeat() override;
     driver::QueueHealth health(int q) const override;
-    sim::Coro<void> quiesce() override;
-    sim::Coro<void> reset() override;
-    sim::Coro<void> reinit() override;
-    /// @}
-
-    /// @name Fault injection (chaos harness).
-    /// @{
-    void wedge() override { wedged_ = true; }
-    void
-    unwedge()
-    {
-        wedged_ = false;
-        runGate_.notifyAll();
-    }
-    bool wedged() const { return wedged_; }
-    /// @}
-
-    mem::AgentId nicAgent(int q) const;
-    const Config &config() const { return cfg_; }
-    driver::Mempool &pool() { return *pool_; }
-
-    std::size_t auditLeaks() override { return pool_->auditLeaks(); }
-
-    /// @name Datapath integrity (NicInterface overrides).
-    /// @{
-    std::uint64_t integrityRetries() const override
-    {
-        return integrity_.retries();
-    }
-    std::uint64_t integrityFaults() const override
-    {
-        return integrity_.faults();
-    }
     std::vector<mem::Addr> faultLines() const override;
     /// @}
 
-    /** Packets that have crossed TX processing (for reports). */
-    std::uint64_t txCount() const { return txCount_; }
-
-    /** RX packets discarded on FCS mismatch. */
-    std::uint64_t rxCrcDrops() const { return rxCrcDrops_; }
+    const Config &config() const { return cfg_; }
 
     /** Slot-state polls (the PIO analogue of ring signal reads). */
     std::uint64_t slotPolls() const { return slotPolls_; }
@@ -254,9 +176,6 @@ class PioNic : public driver::NicInterface
 
     /** Frames that took the spill (pool-buffer) path. */
     std::uint64_t spills() const { return spills_; }
-
-    /** Coalesced credit-return flushes performed (both sides). */
-    std::uint64_t batchFlushes() const { return batchFlushTotal_; }
 
   private:
     /** Slot ownership state (the credit lives here). */
@@ -276,13 +195,10 @@ class PioNic : public driver::NicInterface
         driver::PacketBuf *spill = nullptr;  ///< Oversized-frame payload.
     };
 
-    struct Queue
+    struct Queue : QueueCore
     {
         Queue(sim::Simulator &sim, mem::CoherentSystem &m,
               const Config &cfg, int host_socket, int nic_socket);
-
-        mem::AgentId hostAgent;
-        mem::AgentId nicAgent;
 
         mem::Addr txBase = 0; ///< Host-homed TX slot lines.
         mem::Addr rxBase = 0; ///< RX slot lines (homing per config).
@@ -304,48 +220,17 @@ class PioNic : public driver::NicInterface
         std::uint32_t rxSeq = 0;     ///< Device-stamped RX publishes.
         std::uint32_t rxSeqSeen = 0; ///< Host-verified RX reaps.
 
-        sim::Mailbox<WirePacket> rxInput;
-        sim::Semaphore coreLock; ///< One device core serves both tasks.
-        sim::Gate wireDrained;   ///< RX engine drained below cap.
-
         /// Credit-return coalescing: reaped-but-not-yet-freed slot
         /// indices on the host RX side and the device TX side.
         driver::PublishBatch rxCreditPending;
         driver::PublishBatch txCreditPending;
 
-        // Monotonic progress counters (survive resets); the Watchdog
-        // samples these through health() for stall detection.
-        std::uint64_t txSubmittedTotal = 0;
-        std::uint64_t txCompletedTotal = 0;
-        std::uint64_t rxDeliveredTotal = 0;
-
         /// Per-queue poll child ("pio.slot_polls{queue=N}").
         obs::Counter *polls = nullptr;
-        /// Per-queue batch-occupancy child (credits per flush).
-        obs::Counter *batchOcc = nullptr;
-    };
-
-    /** Device lifecycle state. */
-    enum class DevState : std::uint8_t
-    {
-        Running,
-        Quiescing,
-        Down,
-    };
-
-    /** RAII host-operation counter (quiesce waits for it to drain). */
-    struct OpScope
-    {
-        int &n;
-        explicit OpScope(int &count) : n(count) { ++n; }
-        ~OpScope() { --n; }
-        OpScope(const OpScope &) = delete;
-        OpScope &operator=(const OpScope &) = delete;
     };
 
     sim::Task devTxTask(int q);
     sim::Task devRxTask(int q);
-    sim::Task heartbeatTask();
 
     /// @name Credit-return coalescing (Fig 16).
     /// @{
@@ -420,36 +305,21 @@ class PioNic : public driver::NicInterface
         co_return;
     }
 
-    /** Deliver a TX packet to the wire. */
-    void deliverTx(int q, const WirePacket &pkt);
+    /// @name Lifecycle hooks ("<spanPath>.*" profiler regions).
+    /// @{
+    void spawnEngines(int q) override;
+    std::vector<driver::PacketBuf *> sweepQueue(int q) override;
+    void rewindQueue(int q) override;
+    void registerProfRegions() override;
+    /// @}
 
-    /**
-     * Gate a slot consume on line @p line: reject a stale
-     * (torn/stuck) view and absorb transient poison with the bounded
-     * retry loop.
-     */
-    sim::Coro<bool> consumeGuard(mem::Addr line);
-
-    sim::Tick
-    cycles(double n) const
-    {
-        return mem_.config().cycles(n);
-    }
-
-    sim::Simulator &sim_;
-    mem::CoherentSystem &mem_;
     Config cfg_;
     int hostSocket_;
     int nicSocket_;
-    driver::IntegrityGuard integrity_;
     std::uint32_t slotMask_ = 0;
 
-    std::unique_ptr<driver::Mempool> pool_;
     std::vector<std::unique_ptr<Queue>> queues_;
-    std::function<void(int, const WirePacket &)> txSink_;
 
-    obs::Counter txCount_{"pio.tx_packets"};
-    obs::Counter rxCrcDrops_{"pio.rx_crc_drops"};
     obs::Counter slotPolls_{"pio.slot_polls"};
     obs::LabeledCounter slotPollsQ_{"pio.slot_polls", "queue"};
     obs::Counter slotWrites_{"pio.slot_writes"};
@@ -457,30 +327,6 @@ class PioNic : public driver::NicInterface
     obs::Counter spills_{"pio.spills"};
     obs::Counter creditStalls_{"pio.credit_stalls"};
     obs::Counter rxNoBuf_{"pio.rx_nobuf_drops"};
-    obs::Counter heartbeats_{"pio.heartbeats"};
-    obs::Counter resets_{"pio.resets"};
-    obs::Counter resetReclaimed_{"pio.reset_reclaimed_bufs"};
-    obs::LabeledCounter batchFlushes_{"pio.batch_flushes", "reason"};
-    obs::LabeledCounter batchOccupancy_{"pio.batch_occupancy",
-                                        "queue"};
-    std::uint64_t batchFlushTotal_ = 0;
-    bool started_ = false;
-
-    // Lifecycle state; heartbeat lines are writer-homed single-line
-    // pingpongs exactly as on the ring interfaces.
-    DevState devState_ = DevState::Running;
-    bool wedged_ = false;
-    int hostOps_ = 0;
-    sim::Gate runGate_; ///< Parks device engines while not Running.
-    std::unique_ptr<driver::RegisterLine> hostBeat_;
-    std::unique_ptr<driver::RegisterLine> nicBeat_;
-
-    /// @name Coherence-profiler regions ("<spanPath>.*").
-    /// @{
-    void registerProfRegions();
-    void unregisterProfRegions();
-    std::vector<obs::RegionId> profRegions_;
-    /// @}
 };
 
 } // namespace ccn::pio

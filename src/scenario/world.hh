@@ -5,8 +5,10 @@
  *
  * This is the single place that knows how to turn a family key
  * ("ccnic", "pcie_e810", "pio", ...) into a running world. Benches,
- * examples, and the scenario runner all build through here, so adding
- * an interface family is one registry entry plus one factory case.
+ * examples, and the scenario runner all build through here, and both
+ * world shapes build their NIC from the same family-table row, so
+ * adding an interface family is one NicInterface subclass plus one
+ * row in interfaceFamilies().
  *
  * Two world shapes:
  *
@@ -60,7 +62,15 @@ struct World
     std::unique_ptr<driver::NicInterface> nic;
     ccnic::CcNic *ccnic = nullptr;   // Set when the NIC is a CcNic.
     nic::PcieNic *pcie = nullptr;    // Set when the NIC is a PcieNic.
-    pio::PioNic *pio = nullptr;      // Set when the NIC is a PioNic.
+
+    /** Take ownership of a started NIC. */
+    void
+    attach(std::unique_ptr<driver::NicInterface> n)
+    {
+        ccnic = dynamic_cast<::ccn::ccnic::CcNic *>(n.get());
+        pcie = dynamic_cast<::ccn::nic::PcieNic *>(n.get());
+        nic = std::move(n);
+    }
 };
 
 /**
@@ -122,6 +132,16 @@ batchPolicyFromSpec(const std::string &spec)
     return p;
 }
 
+/** Construct and start a NIC of type @p Nic. */
+template <typename Nic, typename... Args>
+std::unique_ptr<driver::NicInterface>
+startNic(Args &&...args)
+{
+    auto n = std::make_unique<Nic>(std::forward<Args>(args)...);
+    n->start();
+    return n;
+}
+
 /** Build a world with a CC-NIC (or variant) attached. */
 inline std::unique_ptr<World>
 makeCcNicWorld(const mem::PlatformConfig &plat,
@@ -129,12 +149,8 @@ makeCcNicWorld(const mem::PlatformConfig &plat,
                int nic_socket = 1)
 {
     auto w = std::make_unique<World>(plat);
-    auto n = std::make_unique<ccnic::CcNic>(w->simv, w->system, cfg,
-                                            host_socket, nic_socket,
-                                            w->rng);
-    w->ccnic = n.get();
-    n->start();
-    w->nic = std::move(n);
+    w->attach(startNic<ccnic::CcNic>(w->simv, w->system, cfg,
+                                     host_socket, nic_socket, w->rng));
     return w;
 }
 
@@ -144,59 +160,100 @@ makePcieWorld(const mem::PlatformConfig &plat,
               const nic::NicParams &params, int queues)
 {
     auto w = std::make_unique<World>(plat);
-    auto n = std::make_unique<nic::PcieNic>(w->simv, w->system, params,
-                                            queues, 0, w->rng);
-    w->pcie = n.get();
-    n->start();
-    w->nic = std::move(n);
-    return w;
-}
-
-/** Build a world with a PIO message-register NIC attached. */
-inline std::unique_ptr<World>
-makePioWorld(const mem::PlatformConfig &plat, const pio::Config &cfg,
-             int host_socket = 0, int nic_socket = 1)
-{
-    auto w = std::make_unique<World>(plat);
-    auto n = std::make_unique<pio::PioNic>(w->simv, w->system, cfg,
-                                           host_socket, nic_socket,
-                                           w->rng);
-    w->pio = n.get();
-    n->start();
-    w->nic = std::move(n);
+    w->attach(startNic<nic::PcieNic>(w->simv, w->system, params, queues,
+                                     0, w->rng));
     return w;
 }
 
 /**
- * One entry in the interface-family registry. `kind` names the
- * family's architecture (ring-over-coherence, ring-over-PCIe,
- * PIO-over-coherence) for docs and report labels.
+ * One row of the interface-family table. `kind` names the family's
+ * architecture (ring-over-coherence, ring-over-PCIe,
+ * PIO-over-coherence) for docs and report labels; `build` constructs
+ * and starts the family's NIC on a host's memory system (host socket
+ * 0, device socket 1) with @p queues queue pairs.
  */
 struct InterfaceFamily
 {
     const char *key;   ///< Factory key (stable, used in baselines/CI).
     const char *label; ///< Human-readable series label.
     const char *kind;  ///< Architecture family.
+    /// @p loopback false attaches TX to a fabric sink. The PCIe
+    /// families ignore it: they divert TX once a sink is installed.
+    std::unique_ptr<driver::NicInterface> (*build)(
+        mem::CoherentSystem &m, sim::Rng &rng, int queues, bool loopback,
+        const driver::BatchPolicy &batch);
 };
+
+/** The CC-NIC family row builder for one ring configuration. */
+template <ccnic::CcNicConfig (*Preset)(int, int, const mem::PlatformConfig &)>
+std::unique_ptr<driver::NicInterface>
+buildCcNic(mem::CoherentSystem &m, sim::Rng &rng, int queues,
+           bool loopback, const driver::BatchPolicy &batch)
+{
+    auto cfg = Preset(queues, 0, m.config());
+    cfg.loopback = loopback;
+    cfg.batch = batch;
+    return startNic<ccnic::CcNic>(m.simulator(), m, cfg, 0, 1, rng);
+}
+
+/** The PCIe family row builder for one device parameter set. */
+template <nic::NicParams (*Preset)()>
+std::unique_ptr<driver::NicInterface>
+buildPcie(mem::CoherentSystem &m, sim::Rng &rng, int queues, bool,
+          const driver::BatchPolicy &batch)
+{
+    auto params = Preset();
+    params.batch = batch;
+    return startNic<nic::PcieNic>(m.simulator(), m, params, queues, 0,
+                                  rng);
+}
+
+/** The PIO family row builder for one coherence preset. */
+template <pio::Config (*Preset)(int, int, const mem::PlatformConfig &)>
+std::unique_ptr<driver::NicInterface>
+buildPio(mem::CoherentSystem &m, sim::Rng &rng, int queues,
+         bool loopback, const driver::BatchPolicy &batch)
+{
+    auto cfg = Preset(queues, 0, m.config());
+    cfg.loopback = loopback;
+    cfg.batch = batch;
+    return startNic<pio::PioNic>(m.simulator(), m, cfg, 0, 1, rng);
+}
 
 /**
  * The interface families every comparison bench/example/scenario
- * enumerates. Adding an entry here (plus a worldFactory() case) wires
- * a new interface into bench_fig11_overview, bench_pio_smallmsg,
- * examples/interface_compare, and the scenario DSL at once.
+ * enumerates. Adding a row here wires a new interface into
+ * bench_fig11_overview, bench_pio_smallmsg, examples/interface_compare,
+ * and the scenario DSL at once.
  */
 inline const std::vector<InterfaceFamily> &
 interfaceFamilies()
 {
     static const std::vector<InterfaceFamily> families = {
-        {"ccnic", "CC-NIC", "ring-over-coherence"},
-        {"upi_unopt", "UPI-unopt", "ring-over-coherence"},
-        {"pcie_e810", "PCIe-E810", "ring-over-PCIe"},
-        {"pcie_cx6", "PCIe-CX6", "ring-over-PCIe"},
-        {"pio", "PIO-UPI", "PIO-over-coherence"},
-        {"pio_cxl", "PIO-CXL", "PIO-over-coherence"},
+        {"ccnic", "CC-NIC", "ring-over-coherence",
+         buildCcNic<ccnic::optimizedConfig>},
+        {"upi_unopt", "UPI-unopt", "ring-over-coherence",
+         buildCcNic<ccnic::unoptimizedConfig>},
+        {"pcie_e810", "PCIe-E810", "ring-over-PCIe",
+         buildPcie<nic::e810Params>},
+        {"pcie_cx6", "PCIe-CX6", "ring-over-PCIe",
+         buildPcie<nic::cx6Params>},
+        {"pio", "PIO-UPI", "PIO-over-coherence", buildPio<pio::upiConfig>},
+        {"pio_cxl", "PIO-CXL", "PIO-over-coherence",
+         buildPio<pio::cxlConfig>},
     };
     return families;
+}
+
+/** The table row for @p key; throws on an unknown key. */
+inline const InterfaceFamily &
+familyFor(const std::string &key)
+{
+    for (const InterfaceFamily &f : interfaceFamilies()) {
+        if (key == f.key)
+            return f;
+    }
+    throw std::invalid_argument("unknown interface family: " + key);
 }
 
 /** Display label for an interface-family key. */
@@ -257,53 +314,12 @@ worldFactory(const std::string &key, const mem::PlatformConfig &plat,
              const std::string &batch = {})
 {
     const driver::BatchPolicy bp = batchPolicyFromSpec(batch);
-    if (key == "ccnic") {
-        return [plat, queues, loopback, bp] {
-            auto cfg = ccnic::optimizedConfig(queues, 0, plat);
-            cfg.loopback = loopback;
-            cfg.batch = bp;
-            return makeCcNicWorld(plat, cfg);
-        };
-    }
-    if (key == "upi_unopt") {
-        return [plat, queues, loopback, bp] {
-            auto cfg = ccnic::unoptimizedConfig(queues, 0, plat);
-            cfg.loopback = loopback;
-            cfg.batch = bp;
-            return makeCcNicWorld(plat, cfg);
-        };
-    }
-    if (key == "pcie_e810") {
-        return [plat, queues, bp] {
-            auto params = nic::e810Params();
-            params.batch = bp;
-            return makePcieWorld(plat, params, queues);
-        };
-    }
-    if (key == "pcie_cx6") {
-        return [plat, queues, bp] {
-            auto params = nic::cx6Params();
-            params.batch = bp;
-            return makePcieWorld(plat, params, queues);
-        };
-    }
-    if (key == "pio") {
-        return [plat, queues, loopback, bp] {
-            auto cfg = pio::upiConfig(queues, 0, plat);
-            cfg.loopback = loopback;
-            cfg.batch = bp;
-            return makePioWorld(plat, cfg);
-        };
-    }
-    if (key == "pio_cxl") {
-        return [plat, queues, loopback, bp] {
-            auto cfg = pio::cxlConfig(queues, 0, plat);
-            cfg.loopback = loopback;
-            cfg.batch = bp;
-            return makePioWorld(plat, cfg);
-        };
-    }
-    throw std::invalid_argument("unknown interface family: " + key);
+    const InterfaceFamily &f = familyFor(key);
+    return [&f, plat, queues, loopback, bp] {
+        auto w = std::make_unique<World>(plat);
+        w->attach(f.build(w->system, w->rng, queues, loopback, bp));
+        return w;
+    };
 }
 
 /**
@@ -321,9 +337,6 @@ struct HostWorld
     mem::CoherentSystem system;
     sim::Rng rng;
     std::unique_ptr<driver::NicInterface> nic;
-    ccnic::CcNic *ccnic = nullptr;
-    nic::PcieNic *pcie = nullptr;
-    pio::PioNic *pio = nullptr;
 };
 
 /**
@@ -337,56 +350,17 @@ makeHost(sim::Simulator &sim, const std::string &key,
          std::uint64_t seed, const std::string &batch = {})
 {
     const driver::BatchPolicy bp = batchPolicyFromSpec(batch);
+    const InterfaceFamily &f = familyFor(key);
     auto w = std::make_unique<HostWorld>(sim, plat, seed);
-    if (key == "ccnic" || key == "upi_unopt") {
-        auto cfg = key == "ccnic"
-                       ? ccnic::optimizedConfig(queues, 0, plat)
-                       : ccnic::unoptimizedConfig(queues, 0, plat);
-        cfg.loopback = false;
-        cfg.batch = bp;
-        auto n = std::make_unique<ccnic::CcNic>(sim, w->system, cfg, 0,
-                                                1, w->rng);
-        w->ccnic = n.get();
-        n->start();
-        w->nic = std::move(n);
-    } else if (key == "pcie_e810" || key == "pcie_cx6") {
-        nic::NicParams params = key == "pcie_e810"
-                                    ? nic::e810Params()
-                                    : nic::cx6Params();
-        params.batch = bp;
-        auto n = std::make_unique<nic::PcieNic>(sim, w->system, params,
-                                                queues, 0, w->rng);
-        w->pcie = n.get();
-        n->start();
-        w->nic = std::move(n);
-    } else if (key == "pio" || key == "pio_cxl") {
-        auto cfg = key == "pio" ? pio::upiConfig(queues, 0, plat)
-                                : pio::cxlConfig(queues, 0, plat);
-        cfg.loopback = false;
-        cfg.batch = bp;
-        auto n = std::make_unique<pio::PioNic>(sim, w->system, cfg, 0,
-                                               1, w->rng);
-        w->pio = n.get();
-        n->start();
-        w->nic = std::move(n);
-    } else {
-        throw std::invalid_argument("unknown interface family: " +
-                                    key);
-    }
+    w->nic = f.build(w->system, w->rng, queues, /*loopback=*/false, bp);
     return w;
 }
 
-/** Fabric attachment hooks for whatever NIC the host carries. */
+/** Fabric attachment hooks for the host's NIC. */
 inline net::NicPortHooks
 hostHooks(HostWorld &w)
 {
-    if (w.ccnic)
-        return net::hooksFor(*w.ccnic);
-    if (w.pcie)
-        return net::hooksFor(*w.pcie);
-    if (w.pio)
-        return net::hooksFor(*w.pio);
-    throw std::logic_error("host has no NIC attached");
+    return net::hooksFor(*w.nic);
 }
 
 /** Run one loopback point in a fresh world built by @p factory. */

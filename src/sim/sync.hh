@@ -251,6 +251,9 @@ class Mailbox
     bool empty() const { return items_.empty(); }
     std::size_t size() const { return items_.size(); }
 
+    /** Drop every queued item. */
+    void clear() { items_.clear(); }
+
   private:
     Simulator &sim_;
     std::deque<T> items_;

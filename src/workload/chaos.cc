@@ -162,10 +162,8 @@ namespace {
 sim::Task
 teardownSweep(driver::NicInterface &nic, bool *done)
 {
-    if (nic.supportsLifecycle()) {
-        co_await nic.quiesce();
-        co_await nic.reset();
-    }
+    co_await nic.quiesce();
+    co_await nic.reset();
     *done = true;
     co_return;
 }
@@ -174,8 +172,7 @@ teardownSweep(driver::NicInterface &nic, bool *done)
 sim::Task
 teardownRevive(driver::NicInterface &nic, bool *done)
 {
-    if (nic.supportsLifecycle())
-        co_await nic.reinit();
+    co_await nic.reinit();
     *done = true;
     co_return;
 }

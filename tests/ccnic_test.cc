@@ -48,12 +48,12 @@ TEST(CcNicWire, FcsOfFixedPacketIsPinned)
     pkt.tp.sack = 0xf0f0;
     pkt.tp.credits = 64;
     pkt.tp.flags = 0x11;
-    EXPECT_EQ(ccnic::wireFcs(pkt), 0x381dada6u);
-    EXPECT_TRUE(ccnic::fcsOk(pkt));
-    pkt.fcs = ccnic::wireFcs(pkt);
-    EXPECT_TRUE(ccnic::fcsOk(pkt));
+    EXPECT_EQ(driver::wireFcs(pkt), 0x381dada6u);
+    EXPECT_TRUE(driver::fcsOk(pkt));
+    pkt.fcs = driver::wireFcs(pkt);
+    EXPECT_TRUE(driver::fcsOk(pkt));
     pkt.tp.seq ^= 1;
-    EXPECT_FALSE(ccnic::fcsOk(pkt));
+    EXPECT_FALSE(driver::fcsOk(pkt));
 }
 
 TEST(CcNicLoopback, ClosedLoopDeliversEveryPacket)

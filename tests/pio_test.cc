@@ -2,8 +2,9 @@
  * @file
  * PioNic unit and integration tests: burst round-trip through the
  * message slots, slot-credit backpressure, the oversized-frame spill
- * path, wedge → watchdog hot-reset → reinit recovery with zero leaked
- * buffers, and the "pio" span-path stage histograms.
+ * path, and the "pio" span-path stage histograms. The lifecycle
+ * (wedge, watchdog hot-reset, reclaim) is covered for every family in
+ * recovery_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "ccnic/ccnic.hh"
-#include "driver/watchdog.hh"
 #include "mem/platform.hh"
 #include "obs/span.hh"
 #include "pio/pio.hh"
@@ -248,84 +248,6 @@ TEST(PioNic, OversizedFrameSpillsToMempool)
     // Both directions spill: TX by reference, RX into a fresh buffer.
     EXPECT_GE(w.nic.spills(), 1u);
     EXPECT_EQ(w.nic.auditLeaks(), 0u);
-}
-
-TEST(PioRecovery, WatchdogDetectsWedgeAndRecovers)
-{
-    World w(pio::upiConfig(1, 0));
-    driver::Watchdog wd(w.simv, w.nic);
-    wd.start(sim::fromUs(400.0));
-
-    bool failed = false;
-    driver::FailureKind kind = driver::FailureKind::RingStall;
-    wd.onFailure([&](driver::FailureKind k) {
-        failed = true;
-        kind = k;
-    });
-
-    w.simv.scheduleCallback(sim::fromUs(50.0), [&] { w.nic.wedge(); });
-    w.simv.run(sim::fromUs(400.0));
-
-    EXPECT_TRUE(failed);
-    EXPECT_EQ(kind, driver::FailureKind::MissedHeartbeat);
-    EXPECT_GE(wd.stats().failures.value(), 1u);
-    EXPECT_GE(wd.stats().recoveries.value(), 1u);
-    EXPECT_TRUE(w.nic.operational());
-    EXPECT_FALSE(w.nic.wedged()); // reinit() clears the wedge.
-}
-
-/** Submit spilled frames, freeze mid-flight, hot-reset, audit. */
-sim::Task
-txWedgeResetTask(World &w, bool *done)
-{
-    driver::PacketBuf *bufs[8];
-    const int got = co_await w.nic.allocBufs(0, 1024, bufs, 8);
-    EXPECT_GT(got, 0);
-    if (got == 0) {
-        *done = true;
-        co_return;
-    }
-    for (int i = 0; i < got; ++i) {
-        bufs[i]->len = 1024; // Spill path: slots hold pool buffers.
-        bufs[i]->flowId = static_cast<std::uint64_t>(i);
-    }
-    const int tx = co_await w.nic.txBurst(0, bufs, got);
-    if (tx < got)
-        co_await w.nic.freeBufs(0, bufs + tx, got - tx);
-
-    // Freeze the device with slot-held buffers outstanding, then run
-    // the full recovery cycle. reset() must reclaim every one.
-    w.nic.wedge();
-    co_await w.simv.delay(sim::fromUs(5.0));
-    EXPECT_GT(w.nic.pool().outstandingCount(driver::BufClass::Small) +
-                  w.nic.pool().outstandingCount(
-                      driver::BufClass::Large),
-              0u);
-    co_await w.nic.quiesce();
-    co_await w.nic.reset();
-    co_await w.nic.reinit();
-    *done = true;
-    co_return;
-}
-
-TEST(PioRecovery, ResetReclaimsOutstandingBuffers)
-{
-    World w(pio::upiConfig(1, 0));
-    bool done = false;
-    w.simv.spawn(txWedgeResetTask(w, &done));
-    w.simv.run(sim::fromUs(200.0));
-
-    ASSERT_TRUE(done);
-    EXPECT_EQ(w.nic.auditLeaks(), 0u); // allocated == freed.
-    EXPECT_TRUE(w.nic.operational());
-    for (int q = 0; q < w.nic.numQueues(); ++q)
-        EXPECT_EQ(w.nic.health(q).txOutstanding, 0u);
-
-    // The recovered device still moves traffic.
-    int completed = 0;
-    w.simv.spawn(roundTripTask(w, 8, &completed));
-    w.simv.run(w.simv.now() + sim::fromUs(300.0));
-    EXPECT_EQ(completed, 8);
 }
 
 // Lifecycle spans on a loss-free loopback: sampling every packet, the
