@@ -34,11 +34,20 @@ struct CcWorld
     std::unique_ptr<ccnic::CcNic> nic;
 };
 
+sim::Task
+sweepTask(driver::NicInterface &nic, bool *done)
+{
+    co_await nic.quiesce();
+    co_await nic.reset();
+    *done = true;
+}
+
+/** Runs the KV store, then checks a reset returns every buffer. */
 apps::KvResult
 runKv(CcWorld &w, apps::KvConfig cfg)
 {
     apps::WireModel wire(w.simv, 76e6, 25e9);
-    return apps::runKvStore(
+    const apps::KvResult r = apps::runKvStore(
         w.simv, w.system, *w.nic,
         [&](int q, const ccnic::WirePacket &p) {
             w.nic->injectRx(q, p);
@@ -47,6 +56,12 @@ runKv(CcWorld &w, apps::KvConfig cfg)
             w.nic->setTxSink(std::move(s));
         },
         wire, cfg);
+    bool swept = false;
+    w.simv.spawn(sweepTask(*w.nic, &swept));
+    w.simv.run(w.simv.now() + sim::fromUs(500.0));
+    EXPECT_TRUE(swept);
+    EXPECT_EQ(w.nic->auditLeaks(), 0u);
+    return r;
 }
 
 TEST(KvStore, ServesRequestsUnderModestLoad)
