@@ -28,6 +28,7 @@
 #include "driver/mempool.hh"
 #include "driver/nic_iface.hh"
 #include "driver/ring.hh"
+#include "driver/ring_channel.hh"
 #include "mem/coherence.hh"
 #include "mem/platform.hh"
 #include "obs/obs.hh"
@@ -156,30 +157,22 @@ class CcNic : public driver::NicInterface
         Queue(sim::Simulator &sim, mem::CoherentSystem &m,
               const CcNicConfig &cfg, int host_socket, int nic_socket);
 
-        driver::DescRing tx;
-        driver::DescRing rx;
+        // Allocation order feeds the modeled caches: rings, then the
+        // register lines.
+        driver::DescRing txRing;
+        driver::DescRing rxRing;
         driver::RegisterLine txTail, txHead, rxTail, rxHead;
 
-        // Host producer/consumer positions.
-        std::uint32_t txProd = 0;
-        std::uint32_t rxCons = 0;
-        std::uint32_t rxClearScan = 0; ///< Clears lag consumption.
-        // Host-managed-mode bookkeeping.
-        std::uint32_t txFreeScan = 0;
+        /// Host produces, NIC consumes.
+        driver::RingChannel tx;
+        /// NIC produces, host consumes. In host-managed mode prod is
+        /// the next posted blank the NIC fills.
+        driver::RingChannel rx;
+
+        /// Host-managed mode: TX buffers awaiting reap, and the next
+        /// RX slot to post a blank into.
+        driver::TxShadow txShadow;
         std::uint32_t rxPostProd = 0;
-        std::vector<driver::PacketBuf *> txShadow;
-
-        // NIC positions.
-        std::uint32_t txCons = 0;
-        std::uint32_t txClearScan = 0;
-        std::uint32_t rxProd = 0;
-        std::uint32_t rxPostCons = 0;
-
-        // Register-signal caches.
-        std::uint64_t hostTxHeadCache = 0;
-        std::uint64_t nicTxTailCache = 0;
-        std::uint64_t hostRxTailCache = 0;
-        std::uint64_t nicRxHeadCache = 0;
 
         /// Host-side TX publish staging (batched signal publication);
         /// empty whenever cfg.batch is off.
@@ -188,11 +181,6 @@ class CcNic : public driver::NicInterface
         /// target and flush occupancy for the NIC's already-batched
         /// per-gather publications.
         driver::PublishBatch rxDevPending;
-
-        /// Per-queue signal-read child ("ccnic.signal_reads{queue=N}"),
-        /// resolved once at construction so the hot path pays a
-        /// pointer chase, not a label lookup.
-        obs::Counter *sigReads = nullptr;
     };
 
     sim::Task nicTxTask(int q);
@@ -202,32 +190,13 @@ class CcNic : public driver::NicInterface
     /// @{
     /** Publish everything staged on queue @p q as one posted-store
      *  group (descriptor contents + ready flags + signal). */
-    sim::Coro<void> flushTxBatch(int q, bool timeout_flush);
-    /** Per-queue timer bounding how long a partial batch may hold a
-     *  packet back (checks at flushTimeout/2 granularity). */
-    sim::Task txFlushTimerTask(int q);
-    /// @}
-
-    /// @name Signal telemetry: counts ring-signal reads/publishes and
-    /// records tracepoints when tracing is enabled.
-    /// @{
-    void
-    noteSignalRead(Queue &q, mem::Addr a)
-    {
-        signalReads_++;
-        if (q.sigReads)
-            q.sigReads->inc();
-        obs::tracepoint(obs::EventKind::RingSignalRead, "ccnic.signal",
-                        sim_.now(), a);
-    }
-
-    void
-    noteSignalWrite(mem::Addr a)
-    {
-        signalWrites_++;
-        obs::tracepoint(obs::EventKind::RingSignalWrite, "ccnic.signal",
-                        sim_.now(), a);
-    }
+    sim::Coro<void> flushBatch(int q, bool timeout_flush) override;
+    /** Publish host TX descriptors ending at @p end (unbatched: one
+     *  burst; batched: one flush). */
+    sim::Coro<void> publishTx(Queue &queue,
+                              std::vector<mem::CoherentSystem::Span> lines,
+                              std::vector<driver::PublishBatch::Entry> entries,
+                              std::uint32_t end);
     /// @}
 
     /// @name Lifecycle hooks.

@@ -163,6 +163,176 @@ NicInterface::deliverTx(int q, const WirePacket &pkt)
 }
 
 void
+NicInterface::startSpans(PacketBuf *const *bufs, int n)
+{
+    for (int i = 0; i < n; ++i)
+        obs::SpanTable::global().maybeStart(bufs[i]->span, sim_.now());
+}
+
+void
+NicInterface::delivered(int q, PacketBuf *const *bufs, int n)
+{
+    cores_[q]->rxDeliveredTotal += static_cast<std::uint64_t>(n);
+    // The buffers are in the application's hands as of now.
+    for (int i = 0; i < n; ++i) {
+        if (bufs[i]->span.active) {
+            obs::SpanTable::global().commit(traits_.spanPath, bufs[i]->span,
+                                            sim_.now());
+        }
+    }
+}
+
+sim::Coro<void>
+NicInterface::returnBufs(mem::AgentId agent, int q,
+                         std::vector<PacketBuf *> bufs)
+{
+    std::erase(bufs, nullptr);
+    if (!bufs.empty()) {
+        co_await pool_->freeBurst(agent, bufs.data(),
+                                  static_cast<int>(bufs.size()), q);
+    }
+}
+
+std::vector<PublishBatch::Entry>
+NicInterface::takeBatch(int q, PublishBatch &batch, FlushReason why,
+                        std::uint32_t backlog)
+{
+    auto entries = batch.take(why != FlushReason::Full, backlog);
+    batchFlushes_.at(why == FlushReason::Full      ? "full"
+                     : why == FlushReason::Timeout ? "timeout"
+                                                   : "idle")++;
+    *cores_[q]->batchOcc += entries.size();
+    return entries;
+}
+
+sim::Task
+NicInterface::flushTimerTask(int q, PublishBatch &batch, sim::Tick timeout,
+                             bool skip_wedged)
+{
+    // Half-timeout polling bounds a partial batch's hold time to 1.5x
+    // the timeout without a per-stage timer wheel.
+    const sim::Tick period = std::max<sim::Tick>(1, timeout / 2);
+    for (;;) {
+        co_await sim_.delay(period);
+        if ((skip_wedged && wedged_) || devState_ != DevState::Running)
+            continue;
+        if (batch.timedOut(sim_.now()))
+            co_await flushBatch(q, /*timeout_flush=*/true);
+    }
+}
+
+sim::Coro<bool>
+NicInterface::claimTxCore(int q, int max)
+{
+    QueueCore &core = *cores_[q];
+    // Internal flow control: the device does not pull more TX work
+    // while its RX side is backlogged (hardware NICs apply the same
+    // internal buffering limits).
+    while (traits_.loopback &&
+           core.rxInput.size() >= static_cast<std::size_t>(max) * 2)
+        co_await core.wireDrained.wait();
+    if (wedged_ || devState_ != DevState::Running)
+        co_return false;
+    co_await core.coreLock.acquire();
+    if (!wedged_ && devState_ == DevState::Running)
+        co_return true;
+    // Lost the race against a lifecycle transition after deciding to
+    // work; never start a batch on a dead device.
+    core.coreLock.release();
+    co_return false;
+}
+
+sim::Coro<std::vector<WirePacket>>
+NicInterface::takeRxBatch(int q, int max)
+{
+    QueueCore &core = *cores_[q];
+    while (wedged_ || devState_ != DevState::Running)
+        co_await runGate_.wait();
+    std::vector<WirePacket> batch(1, co_await core.rxInput.get());
+    for (;;) {
+        while (wedged_ || devState_ != DevState::Running)
+            co_await runGate_.wait();
+        co_await core.coreLock.acquire();
+        if (!wedged_ && devState_ == DevState::Running)
+            break;
+        core.coreLock.release();
+    }
+    while (static_cast<int>(batch.size()) < max && !core.rxInput.empty())
+        batch.push_back(co_await core.rxInput.get());
+    co_return batch;
+}
+
+void
+NicInterface::endRxBatch(int q, int max)
+{
+    QueueCore &core = *cores_[q];
+    core.coreLock.release();
+    if (core.rxInput.size() < static_cast<std::size_t>(max) * 2)
+        core.wireDrained.notifyAll();
+}
+
+sim::Coro<void>
+NicInterface::abandonRxBatch(int q, std::vector<PacketBuf *> bufs)
+{
+    co_await returnBufs(cores_[q]->nicAgent, q, std::move(bufs));
+    cores_[q]->coreLock.release();
+}
+
+int
+NicInterface::takeCompleted(DescRing &ring, std::uint32_t &cons,
+                            PacketBuf **bufs, int count, SpanList &lines)
+{
+    int n = 0;
+    while (n < count && ring.slot(cons).meta == kRxCompleted) {
+        if (!ring.slotValid(cons)) {
+            integrity_.noteReject();
+            break; // Torn completion: re-poll after the store lands.
+        }
+        lines.line(ring.lineOf(cons));
+        DescRing::Slot &slot = ring.slot(cons);
+        bufs[n++] = slot.buf;
+        slot.meta = kSlotEmpty;
+        slot.buf = nullptr;
+        slot.ready = false;
+        ring.clearStamp(cons);
+        ++cons;
+    }
+    return n;
+}
+
+sim::Coro<std::uint32_t>
+NicInterface::postBlanks(int q, DescRing &ring, std::uint32_t &post,
+                         std::uint32_t room, std::uint32_t bytes)
+{
+    if (room == 0)
+        co_return 0;
+    const mem::AgentId agent = cores_[q]->hostAgent;
+    std::vector<PacketBuf *> blanks(room, nullptr);
+    const int got = co_await pool_->allocBurst(
+        agent, bytes, blanks.data(), static_cast<int>(room), q);
+    if (got <= 0)
+        co_return 0;
+    blanks.resize(static_cast<std::size_t>(got));
+    SpanList lines;
+    for (int i = 0; i < got; ++i)
+        lines.line(ring.lineOf(post + static_cast<std::uint32_t>(i)));
+    const std::uint32_t from = post;
+    post += static_cast<std::uint32_t>(got);
+    DescRing *r = &ring;
+    auto visible = [r, from, blanks = std::move(blanks)] {
+        std::uint32_t i = from;
+        for (PacketBuf *b : blanks) {
+            DescRing::Slot &slot = r->slot(i);
+            slot.buf = b;
+            slot.meta = kRxPosted;
+            r->stampSlot(i++);
+        }
+    };
+    co_await mem_.postMulti(agent, lines.spans, std::move(visible));
+    co_return static_cast<std::uint32_t>(got);
+}
+
+void
 NicInterface::injectRx(int q, const WirePacket &pkt)
 {
     if (!fcsOk(pkt)) {

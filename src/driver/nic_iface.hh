@@ -104,6 +104,8 @@ struct DeviceTraits
     std::uint32_t guardBytes = mem::kLineBytes;
     /// Register "<prefix>.heartbeats" (counted by the coherent beat).
     bool countBeats = true;
+    /// obs::SpanTable path the family's lifecycle spans commit under.
+    std::string spanPath;
 };
 
 /**
@@ -335,6 +337,99 @@ class NicInterface
 
     /** Deliver a TX packet to the wire (sink or local loopback). */
     void deliverTx(int q, const WirePacket &pkt);
+
+    /// @name Per-packet steps every family shares.
+    /// @{
+    /** Open the sampled lifecycle spans of @p n accepted TX buffers. */
+    void startSpans(PacketBuf *const *bufs, int n);
+
+    /** @p n buffers reached the host on queue @p q: close their spans. */
+    void delivered(int q, PacketBuf *const *bufs, int n);
+
+    /** Free the non-null @p bufs on @p agent into queue @p q's stripe. */
+    sim::Coro<void> returnBufs(mem::AgentId agent, int q,
+                               std::vector<PacketBuf *> bufs);
+    /// @}
+
+    /// @name Batched publication (Fig 16).
+    /// @{
+    /** Why a batch was published: full, flush timer, or idle producer. */
+    enum class FlushReason
+    {
+        Full,
+        Timeout,
+        Idle,
+    };
+
+    /**
+     * Take the whole (non-empty) @p batch for publication, count the
+     * flush under @p why and its occupancy on queue @p q. @p backlog
+     * is the work waiting behind it (drives adaptive growth).
+     */
+    std::vector<PublishBatch::Entry> takeBatch(int q, PublishBatch &batch,
+                                               FlushReason why,
+                                               std::uint32_t backlog);
+
+    /**
+     * Bounds how long @p batch may hold work back: every half
+     * @p timeout, publish it through flushBatch() once its oldest
+     * entry timed out. A device that is down (or, with @p skip_wedged,
+     * wedged) drops its staged work on reset() instead.
+     */
+    sim::Task flushTimerTask(int q, PublishBatch &batch, sim::Tick timeout,
+                             bool skip_wedged);
+
+    /** Publish queue @p q's timer-bounded batch (flushTimerTask()). */
+    virtual sim::Coro<void> flushBatch(int q, bool timeout_flush) = 0;
+    /// @}
+
+    /// @name Device engines of the coherent families (one core lock).
+    /// @{
+    /**
+     * TX engine: wait out an RX backlog of 2 @p max arrivals (loopback),
+     * then take the core lock. False, without the lock, when the device
+     * left Running meanwhile.
+     */
+    sim::Coro<bool> claimTxCore(int q, int max);
+
+    /**
+     * RX engine: wait for an arrival on a running device, take the
+     * core lock, then drain up to @p max arrivals. An arrival is held
+     * across a lifecycle transition rather than processed on a dead
+     * device (one stale delivery after a reset is harmless).
+     */
+    sim::Coro<std::vector<WirePacket>> takeRxBatch(int q, int max);
+
+    /** RX engine done: drop the lock, wake a TX engine held back. */
+    void endRxBatch(int q, int max);
+
+    /**
+     * RX engine giving up on a device that left Running: free the
+     * batch's buffers (the packets are dropped; peers retransmit) and
+     * drop the lock.
+     */
+    sim::Coro<void> abandonRxBatch(int q, std::vector<PacketBuf *> bufs);
+    /// @}
+
+    /// @name Host-managed rings (PCIe-style buffer management).
+    /// The device signals differ per family; the bookkeeping does not.
+    /// @{
+    /**
+     * Reap up to @p count completed RX slots from @p cons into
+     * @p bufs, adding their lines to @p lines. Advances @p cons.
+     */
+    int takeCompleted(DescRing &ring, std::uint32_t &cons, PacketBuf **bufs,
+                      int count, SpanList &lines);
+
+    /**
+     * Post up to @p room blank @p bytes buffers at @p post (advanced)
+     * as one posted store group. Returns how many were posted.
+     */
+    sim::Coro<std::uint32_t> postBlanks(int q, DescRing &ring,
+                                        std::uint32_t &post,
+                                        std::uint32_t room,
+                                        std::uint32_t bytes);
+    /// @}
 
     /**
      * Consume-side integrity filter on one ring line or slot: stale

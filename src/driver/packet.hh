@@ -129,6 +129,37 @@ struct WirePacket
 };
 
 /**
+ * The wire image of @p b carrying @p len bytes. The lifecycle span
+ * moves onto the wire: the buffer is about to be recycled and must not
+ * keep an active slot. @p chained: a chained second segment counts as
+ * a second descriptor slot.
+ */
+inline WirePacket
+takeWire(PacketBuf &b, std::uint32_t len, bool chained = true)
+{
+    WirePacket w{len, b.txTime, b.flowId, b.userData, 1,
+                 b.src, b.dst, b.tp, 0, b.span};
+    if (chained && b.nextSeg)
+        w.segments = 2;
+    b.span.clear();
+    return w;
+}
+
+/** Land wire packet @p w, span included, in receive buffer @p b. */
+inline void
+fromWire(PacketBuf &b, const WirePacket &w)
+{
+    b.len = w.len;
+    b.txTime = w.txTime;
+    b.flowId = w.flowId;
+    b.userData = w.userData;
+    b.src = w.src;
+    b.dst = w.dst;
+    b.tp = w.tp;
+    b.span = w.span;
+}
+
+/**
  * CRC-32C over the packet's logical contents. Fabric addressing is
  * excluded from the covered fields because the source address is
  * stamped by the fabric port after the NIC computes the FCS.

@@ -12,10 +12,6 @@ using sim::Tick;
 
 namespace {
 
-constexpr std::uint64_t kRxEmpty = 0;
-constexpr std::uint64_t kRxPosted = 1;
-constexpr std::uint64_t kRxCompleted = 2;
-
 constexpr std::uint32_t kRingEntries = 1024;
 
 // Head/tail indices wrap by masking with kRingEntries - 1, and the
@@ -89,7 +85,7 @@ PcieNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
     : QueueCore(sim, m, host_socket, /*nic_socket=*/-1),
       tx(m, host_socket, kRingEntries, driver::RingLayout::Packed),
       rx(m, host_socket, kRingEntries, driver::RingLayout::Packed),
-      txShadow(kRingEntries, nullptr),
+      txShadow(kRingEntries),
       txHeadWb(m.alloc(host_socket, mem::kLineBytes, mem::kLineBytes)),
       doorbells(sim),
       wc(sim, link, pcie::WcTarget::Device)
@@ -106,7 +102,8 @@ PcieNic::PcieNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
                     .resetLat = params.resetLat,
                     .reinitLat = sim::fromNs(500.0),
                     .loopback = false,
-                    .countBeats = false}),
+                    .countBeats = false,
+                    .spanPath = params.name}),
       params_(params),
       link_(sim, params.pcie, mem_system, host_socket),
       pipeline_(sim, params.pipelinePps)
@@ -177,8 +174,11 @@ PcieNic::spawnEngines(int q)
 {
     sim_.spawn(devTxEngine(q));
     sim_.spawn(devRxEngine(q));
-    if (params_.batch.enabled())
-        sim_.spawn(txDoorbellTimerTask(q));
+    if (params_.batch.enabled()) {
+        sim_.spawn(flushTimerTask(q, queues_[q]->dbPending,
+                                  params_.batch.flushTimeout,
+                                  /*skip_wedged=*/true));
+    }
 }
 
 sim::Coro<void>
@@ -219,31 +219,12 @@ PcieNic::sweepQueue(int q)
     // slot.buf, so TX ring slots can alias already-freed buffers); RX
     // ring slots own their buffer while posted or completed.
     std::vector<PacketBuf *> frees;
-    for (PacketBuf *&b : queue.txShadow) {
-        if (b)
-            frees.push_back(b);
-        b = nullptr;
-    }
-    for (std::uint32_t i = 0; i < queue.rx.entries(); ++i) {
-        auto &slot = queue.rx.slot(i);
-        if (slot.buf && slot.meta != kRxEmpty)
+    queue.txShadow.sweep([&frees](PacketBuf *b) { frees.push_back(b); });
+    queue.rx.sweep([&frees](driver::DescRing::Slot &slot) {
+        if (slot.buf && slot.meta != driver::kSlotEmpty)
             frees.push_back(slot.buf);
-        slot.buf = nullptr;
-        slot.ready = false;
-        slot.meta = kRxEmpty;
-        slot.len = 0;
-        slot.gen = 0;
-        slot.csum = 0;
-    }
-    for (std::uint32_t i = 0; i < queue.tx.entries(); ++i) {
-        auto &slot = queue.tx.slot(i);
-        slot.buf = nullptr;
-        slot.ready = false;
-        slot.meta = 0;
-        slot.len = 0;
-        slot.gen = 0;
-        slot.csum = 0;
-    }
+    });
+    queue.tx.sweep([](driver::DescRing::Slot &) {});
     return frees;
 }
 
@@ -259,7 +240,7 @@ PcieNic::rewindQueue(int q)
     // exist; drop them (buffers were reclaimed via txShadow).
     (void)queue.dbPending.take(/*timeout_flush=*/true);
     queue.dbFlushedTail = 0;
-    queue.txProd = queue.txFreeScan = 0;
+    queue.txProd = 0;
     queue.rxCons = queue.rxPostProd = 0;
     queue.devTxCons = queue.devTxTail = 0;
     queue.devRxPostCons = queue.devRxPostTail = 0;
@@ -287,76 +268,52 @@ PcieNic::txBurst(int q, PacketBuf **bufs, int count)
 
     // Reap TX completions from the head writeback line (DDIO: an LLC
     // hit, no PCIe roundtrip).
-    if (queue.txFreeScan !=
+    if (queue.txShadow.scan !=
         static_cast<std::uint32_t>(queue.txHeadValue)) {
         co_await mem_.load(queue.hostAgent, queue.txHeadWb, 8);
-        std::vector<PacketBuf *> frees;
-        while (queue.txFreeScan !=
-               static_cast<std::uint32_t>(queue.txHeadValue)) {
-            PacketBuf *b =
-                queue.txShadow[queue.txFreeScan & queue.tx.mask()];
-            if (b)
-                frees.push_back(b);
-            queue.txShadow[queue.txFreeScan & queue.tx.mask()] = nullptr;
-            queue.txFreeScan++;
-        }
-        if (!frees.empty())
-            co_await pool_->freeBurst(queue.hostAgent, frees.data(),
-                                      static_cast<int>(frees.size()),
-                                      q);
+        co_await returnBufs(queue.hostAgent, q,
+                            queue.txShadow.reap(static_cast<std::uint32_t>(
+                                queue.txHeadValue)));
     }
 
     const std::uint32_t space =
-        kRingEntries - 1 - (queue.txProd - queue.txFreeScan);
+        kRingEntries - 1 - (queue.txProd - queue.txShadow.scan);
     count = std::min<std::uint32_t>(count, space);
     if (count <= 0)
         co_return 0;
 
     // Write descriptors into host memory (plain cached stores).
-    std::vector<mem::CoherentSystem::Span> spans;
-    Addr last_line = ~Addr{0};
-    struct Pending
-    {
-        std::uint32_t idx;
-        PacketBuf *buf;
-    };
-    std::vector<Pending> pending;
+    driver::SpanList lines;
+    std::vector<driver::PublishBatch::Entry> pending;
     for (int i = 0; i < count; ++i) {
         const std::uint32_t idx = queue.txProd + i;
-        pending.push_back({idx, bufs[i]});
-        const Addr l = queue.tx.lineOf(idx);
-        if (l != last_line) {
-            spans.push_back({l, mem::kLineBytes});
-            last_line = l;
-        }
+        pending.push_back({idx, bufs[i], 0});
+        lines.line(queue.tx.lineOf(idx));
     }
-    for (const Pending &p : pending)
-        obs::SpanTable::global().maybeStart(p.buf->span, sim_.now());
+    startSpans(bufs, count);
     co_await sim_.delay(mem_.config().cycles(
         (cpuCosts().perPktTx + cpuCosts().perDesc) * count));
     // Descriptor stores always land now; only the doorbell may be
     // coalesced. BatchFlush therefore stamps at store initiation, and
     // any doorbell hold shows up in DescPublish -> NicObserve.
-    {
-        const Tick flush_now = sim_.now();
-        for (const Pending &p : pending)
-            p.buf->span.stamp(obs::SpanStage::BatchFlush, flush_now);
-    }
+    const Tick flush_now = sim_.now();
+    for (const auto &p : pending)
+        p.buf->span.stamp(obs::SpanStage::BatchFlush, flush_now);
     {
         Queue *qp = &queue;
         auto publish = [qp, pending, simp = &sim_]() {
-            for (const Pending &p : pending) {
+            for (const auto &p : pending) {
                 auto &slot = qp->tx.slot(p.idx);
                 slot.buf = p.buf;
                 slot.len = p.buf->wireLen();
                 slot.ready = true;
                 qp->tx.stampSlot(p.idx);
-                qp->txShadow[p.idx & qp->tx.mask()] = p.buf;
+                qp->txShadow.put(p.idx, p.buf);
                 p.buf->span.stamp(obs::SpanStage::DescPublish,
                                   simp->now());
             }
         };
-        co_await mem_.postMulti(queue.hostAgent, spans,
+        co_await mem_.postMulti(queue.hostAgent, lines.spans,
                                 std::move(publish));
     }
     queue.txProd += count;
@@ -365,53 +322,40 @@ PcieNic::txBurst(int q, PacketBuf **bufs, int count)
     if (params_.batch.enabled()) {
         // Coalesced path: defer the MMIO tail update until enough
         // descriptors accumulate (or the flush timer fires).
-        for (const Pending &p : pending)
+        for (const auto &p : pending)
             queue.dbPending.stage(p.idx, nullptr, sim_.now());
         if (queue.dbPending.full())
-            co_await flushTxDoorbell(q, /*timeout_flush=*/false);
+            co_await flushBatch(q, /*timeout_flush=*/false);
         co_return count;
     }
-
-    // Doorbell. CX6-style devices inline the first descriptors into a
-    // WC doorbell write; E810 uses a plain UC tail update.
-    const std::uint32_t tail = queue.txProd;
-    queue.dbFlushedTail = tail;
-    doorbells_++;
-    (*queue.doorbellsQ)++;
-    obs::tracepoint(obs::EventKind::RingDoorbell, "pcie.tx_tail",
-                    sim_.now(), tail);
-    if (params_.inlineDoorbellDesc) {
-        co_await queue.wc.store(0xD0000000ULL + 64 * q, 64);
-        co_await queue.wc.fence();
-    } else {
-        co_await link_.mmioUcWrite(4);
-    }
-    Queue *qp = &queue;
-    sim_.scheduleCallback(sim_.now() + link_.doorbellTransit(),
-                          [qp, tail] { qp->doorbells.put(tail); });
+    co_await ringTxDoorbell(q, queue.txProd);
     co_return count;
 }
 
 sim::Coro<void>
-PcieNic::flushTxDoorbell(int q, bool timeout_flush)
+PcieNic::flushBatch(int q, bool timeout_flush)
 {
     Queue &queue = *queues_[q];
-    const std::uint32_t backlog = queue.txProd - queue.devTxCons;
-    const auto entries = queue.dbPending.take(timeout_flush, backlog);
-    if (entries.empty())
-        co_return;
-    batchFlushes_.at(timeout_flush ? "timeout" : "full")++;
-    if (queue.batchOcc)
-        *queue.batchOcc += entries.size();
-
+    const auto entries = takeBatch(
+        q, queue.dbPending,
+        timeout_flush ? FlushReason::Timeout : FlushReason::Full,
+        queue.txProd - queue.devTxCons);
     // One MMIO write announces every pending descriptor: the tail
     // moves past the newest staged index.
-    const std::uint32_t tail = entries.back().idx + 1;
+    co_await ringTxDoorbell(q, entries.back().idx + 1);
+}
+
+sim::Coro<void>
+PcieNic::ringTxDoorbell(int q, std::uint32_t tail)
+{
+    Queue &queue = *queues_[q];
     queue.dbFlushedTail = tail;
     doorbells_++;
     (*queue.doorbellsQ)++;
     obs::tracepoint(obs::EventKind::RingDoorbell, "pcie.tx_tail",
                     sim_.now(), tail);
+    // CX6-style devices inline the first descriptors into a WC
+    // doorbell write; E810 uses a plain UC tail update.
     if (params_.inlineDoorbellDesc) {
         co_await queue.wc.store(0xD0000000ULL + 64 * q, 64);
         co_await queue.wc.fence();
@@ -421,23 +365,6 @@ PcieNic::flushTxDoorbell(int q, bool timeout_flush)
     Queue *qp = &queue;
     sim_.scheduleCallback(sim_.now() + link_.doorbellTransit(),
                           [qp, tail] { qp->doorbells.put(tail); });
-    co_return;
-}
-
-sim::Task
-PcieNic::txDoorbellTimerTask(int q)
-{
-    Queue &queue = *queues_[q];
-    const Tick period =
-        std::max<Tick>(1, params_.batch.flushTimeout / 2);
-    for (;;) {
-        co_await sim_.delay(period);
-        if (wedged_ || devState_ != DevState::Running)
-            continue; // reset() drops the stale pending batch.
-        if (!queue.dbPending.empty() &&
-            queue.dbPending.timedOut(sim_.now()))
-            co_await flushTxDoorbell(q, /*timeout_flush=*/true);
-    }
 }
 
 sim::Coro<int>
@@ -456,81 +383,27 @@ PcieNic::rxBurst(int q, PacketBuf **bufs, int count)
 
     // Poll completion descriptors (DD bits) in host memory; DDIO makes
     // these LLC hits.
-    int collected = 0;
-    std::vector<mem::CoherentSystem::Span> load_spans;
-    Addr last_line = ~Addr{0};
-    while (collected < count &&
-           queue.rx.slot(queue.rxCons).meta == kRxCompleted) {
-        auto &slot = queue.rx.slot(queue.rxCons);
-        if (!queue.rx.slotValid(queue.rxCons)) {
-            integrity_.noteReject();
-            break; // Torn completion: re-poll after the store lands.
-        }
-        const Addr l = queue.rx.lineOf(queue.rxCons);
-        if (l != last_line) {
-            load_spans.push_back({l, mem::kLineBytes});
-            last_line = l;
-        }
-        bufs[collected++] = slot.buf;
-        queue.rx.clearStamp(queue.rxCons);
-        slot.meta = kRxEmpty;
-        slot.buf = nullptr;
-        queue.rxCons++;
-    }
+    driver::SpanList loads;
+    const int collected =
+        takeCompleted(queue.rx, queue.rxCons, bufs, count, loads);
     if (collected > 0) {
-        co_await mem_.accessMulti(queue.hostAgent, load_spans, false);
+        co_await mem_.accessMulti(queue.hostAgent, loads.spans, false);
         co_await sim_.delay(mem_.config().cycles(
             (cpuCosts().perPktRx + cpuCosts().perDesc) * collected));
-        queue.rxDeliveredTotal += static_cast<std::uint64_t>(collected);
-        for (int i = 0; i < collected; ++i) {
-            if (bufs[i]->span.active)
-                obs::SpanTable::global().commit(params_.name,
-                                                bufs[i]->span,
-                                                sim_.now());
-        }
+        delivered(q, bufs, collected);
     }
 
     // Repost blank buffers and ring the RX tail doorbell in batches.
-    std::uint32_t posted = 0;
-    std::vector<mem::CoherentSystem::Span> post_spans;
-    last_line = ~Addr{0};
-    std::vector<std::pair<std::uint32_t, PacketBuf *>> posts;
-    const std::uint32_t want =
-        kRingEntries - 1 - (queue.rxPostProd - queue.rxCons);
-    if (want > 0) {
-        std::vector<PacketBuf *> blanks(want, nullptr);
-        const int got = co_await pool_->allocBurst(
-            queue.hostAgent, 2048, blanks.data(),
-            static_cast<int>(want), q);
-        for (int i = 0; i < got; ++i) {
-            posts.emplace_back(queue.rxPostProd, blanks[i]);
-            const Addr l = queue.rx.lineOf(queue.rxPostProd);
-            if (l != last_line) {
-                post_spans.push_back({l, mem::kLineBytes});
-                last_line = l;
-            }
-            queue.rxPostProd++;
-            posted++;
-        }
-    }
+    const std::uint32_t posted = co_await postBlanks(
+        q, queue.rx, queue.rxPostProd,
+        kRingEntries - 1 - (queue.rxPostProd - queue.rxCons), 2048);
     if (posted > 0) {
-        Queue *qp = &queue;
-        auto publish = [qp, posts]() {
-            for (const auto &[i, b] : posts) {
-                auto &slot = qp->rx.slot(i);
-                slot.buf = b;
-                slot.meta = kRxPosted;
-                qp->rx.stampSlot(i);
-            }
-        };
-        co_await mem_.postMulti(queue.hostAgent, post_spans,
-                                std::move(publish));
-        // Batched RX tail doorbell.
         doorbells_++;
         (*queue.doorbellsQ)++;
         obs::tracepoint(obs::EventKind::RingDoorbell, "pcie.rx_tail",
                         sim_.now(), queue.rxPostProd);
         co_await link_.mmioUcWrite(4);
+        Queue *qp = &queue;
         const std::uint32_t tail = queue.rxPostProd;
         sim_.scheduleCallback(sim_.now() + link_.doorbellTransit(),
                               [qp, tail] { qp->devRxPostTail = tail; });
@@ -616,27 +489,17 @@ PcieNic::devTxEngine(int q)
             }
 
             // Payload fetch for the batch (scatter DMA).
-            std::vector<mem::CoherentSystem::Span> spans;
+            driver::SpanList payloads;
             std::vector<WirePacket> pkts;
             for (std::uint32_t i = 0; i < n; ++i) {
                 auto &slot = queue.tx.slot(queue.devTxCons + i);
                 queue.tx.clearStamp(queue.devTxCons + i);
                 PacketBuf *b = slot.buf;
-                if (!b)
-                    continue;
-                spans.push_back({b->addr, b->len});
+                payloads.payload(*b);
                 b->span.stamp(obs::SpanStage::NicObserve, sim_.now());
-                WirePacket wp{slot.len, b->txTime, b->flowId,
-                              b->userData, 1, b->src, b->dst,
-                              b->tp, 0, b->span};
-                b->span.clear();
-                if (b->nextSeg) {
-                    spans.push_back({b->nextSeg->addr, b->segLen});
-                    wp.segments = 2;
-                }
-                pkts.push_back(wp);
+                pkts.push_back(driver::takeWire(*b, slot.len));
             }
-            co_await link_.dmaReadMulti(spans);
+            co_await link_.dmaReadMulti(payloads.spans);
 
             // ASIC pipeline: rate cap plus fixed traversal.
             for (auto &pkt : pkts) {
@@ -700,43 +563,31 @@ PcieNic::devRxEngine(int q)
         link_.chargeBackgroundRead(batch.size() * 16);
 
         // Write payloads and completion descriptors (scatter DDIO).
-        std::vector<mem::CoherentSystem::Span> spans;
+        driver::SpanList spans;
         std::vector<std::pair<std::uint32_t, std::size_t>> placed;
-        Addr last_line = ~Addr{0};
         for (std::size_t i = 0; i < batch.size(); ++i) {
             auto &slot = queue.rx.slot(queue.devRxPostCons);
-            if (slot.meta != kRxPosted)
+            if (slot.meta != driver::kRxPosted)
                 break;
             if (!queue.rx.slotValid(queue.devRxPostCons)) {
                 integrity_.noteReject();
                 break; // Torn post: host repost completes it later.
             }
             PacketBuf *b = slot.buf;
-            spans.push_back({b->addr, std::max<std::uint32_t>(
-                                          batch[i].len, 1)});
-            const Addr l = queue.rx.lineOf(queue.devRxPostCons);
-            if (l != last_line) {
-                spans.push_back({l, mem::kLineBytes});
-                last_line = l;
-            }
+            spans.spans.push_back(
+                {b->addr, std::max<std::uint32_t>(batch[i].len, 1)});
+            spans.line(queue.rx.lineOf(queue.devRxPostCons));
             placed.emplace_back(queue.devRxPostCons, i);
             queue.devRxPostCons++;
         }
-        co_await link_.dmaWriteMulti(spans);
+        co_await link_.dmaWriteMulti(spans.spans);
         for (auto &[idx, i] : placed) {
             auto &slot = queue.rx.slot(idx);
             PacketBuf *b = slot.buf;
-            b->len = batch[i].len;
-            b->txTime = batch[i].txTime;
-            b->flowId = batch[i].flowId;
-            b->userData = batch[i].userData;
-            b->src = batch[i].src;
-            b->dst = batch[i].dst;
-            b->tp = batch[i].tp;
-            b->span = batch[i].span;
+            driver::fromWire(*b, batch[i]);
             b->span.stamp(obs::SpanStage::RxPublish, sim_.now());
             slot.len = b->len;
-            slot.meta = kRxCompleted;
+            slot.meta = driver::kRxCompleted;
             slot.ready = true;
             queue.rx.stampSlot(idx);
         }

@@ -111,10 +111,9 @@ class PcieNic : public driver::NicInterface
 
         // Host positions.
         std::uint32_t txProd = 0;
-        std::uint32_t txFreeScan = 0;
         std::uint32_t rxCons = 0;
         std::uint32_t rxPostProd = 0;
-        std::vector<driver::PacketBuf *> txShadow;
+        driver::TxShadow txShadow;
 
         /// Doorbell coalescing: descriptors published (stored) but not
         /// yet announced to the device, and the tail value of the last
@@ -146,9 +145,9 @@ class PcieNic : public driver::NicInterface
     /// @name Doorbell coalescing (Fig 16).
     /// @{
     /** Ring one MMIO doorbell covering every pending descriptor. */
-    sim::Coro<void> flushTxDoorbell(int q, bool timeout_flush);
-    /** Bounds how long a partial batch may defer its doorbell. */
-    sim::Task txDoorbellTimerTask(int q);
+    sim::Coro<void> flushBatch(int q, bool timeout_flush) override;
+    /** Announce every descriptor before @p tail to the device. */
+    sim::Coro<void> ringTxDoorbell(int q, std::uint32_t tail);
     /// @}
 
     /// @name Lifecycle hooks ("pcie.*" profiler regions).

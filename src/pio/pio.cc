@@ -4,7 +4,6 @@
 
 namespace ccn::pio {
 
-using driver::BufClass;
 using driver::PacketBuf;
 using mem::Addr;
 using sim::Tick;
@@ -108,7 +107,8 @@ PioNic::PioNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
                     // A consume trusts a whole slot, not one line.
                     .guardBytes = std::max<std::uint32_t>(
                                       1, config.slotLines) *
-                                  mem::kLineBytes}),
+                                  mem::kLineBytes,
+                    .spanPath = config.spanPath}),
       cfg_(config), hostSocket_(host_socket), nicSocket_(nic_socket)
 {
     cfg_.pool.homeSocket = host_socket;
@@ -173,8 +173,10 @@ PioNic::spawnEngines(int q)
 {
     sim_.spawn(devTxTask(q));
     sim_.spawn(devRxTask(q));
-    if (cfg_.batch.enabled())
-        sim_.spawn(rxCreditTimerTask(q));
+    if (cfg_.batch.enabled()) {
+        sim_.spawn(flushTimerTask(q, queues_[q]->rxCreditPending,
+                                  cfg_.batch.flushTimeout, false));
+    }
 }
 
 std::vector<mem::Addr>
@@ -253,35 +255,32 @@ PioNic::txBurst(int q, PacketBuf **bufs, int count)
         PacketBuf *spill; ///< Null for inline messages.
         PacketBuf *buf;   ///< Source buffer (freed here if inline).
     };
+    int n = 0;
+    while (n < count &&
+           txSlot(queue, queue.txProd + n).state == SlotState::Free)
+        ++n;
+    if (n < count)
+        creditStalls_++; // Slot array full: credits not yet returned.
+    if (n == 0)
+        co_return 0;
+    // Lifecycle spans: activate the 1-in-N sampled slot on accepted
+    // buffers only.
+    startSpans(bufs, n);
     std::vector<Pending> pending;
     std::vector<mem::CoherentSystem::Span> spans;
     std::uint32_t idx = queue.txProd;
-    for (int i = 0; i < count; ++i) {
-        if (txSlot(queue, idx).state != SlotState::Free) {
-            creditStalls_++;
-            break; // Slot array full: credits not yet returned.
-        }
+    for (int i = 0; i < n; ++i, ++idx) {
         PacketBuf *b = bufs[i];
-        // Lifecycle spans: activate the 1-in-N sampled slot on
-        // accepted buffers only.
-        obs::SpanTable::global().maybeStart(b->span, sim_.now());
-        WirePacket msg{b->wireLen(), b->txTime, b->flowId, b->userData,
-                       1, b->src, b->dst, b->tp, 0, b->span};
         // The span rides in the slot from here; inline TX buffers are
-        // recycled immediately and must not keep an active slot.
-        b->span.clear();
-        const bool spilled = msg.len > inline_cap;
-        if (spilled) {
+        // recycled immediately and must not keep an active slot. Only
+        // a spilled frame's chained segment is a second descriptor.
+        const bool spilled = b->wireLen() > inline_cap;
+        if (spilled)
             spills_++;
-            if (b->nextSeg)
-                msg.segments = 2;
-        }
-        pending.push_back({idx, msg, spilled ? b : nullptr, b});
+        pending.push_back({idx, driver::takeWire(*b, b->wireLen(), spilled),
+                           spilled ? b : nullptr, b});
         spans.push_back({txLineOf(queue, idx), slotBytes()});
-        idx++;
     }
-    if (pending.empty())
-        co_return 0;
 
     co_await sim_.delay(
         cycles(costs.perPktTx * static_cast<double>(pending.size())));
@@ -326,11 +325,8 @@ PioNic::txBurst(int q, PacketBuf **bufs, int count)
         if (!p.spill)
             frees.push_back(p.buf);
     }
-    if (!frees.empty()) {
-        co_await pool_->freeBurst(queue.hostAgent, frees.data(),
-                                  static_cast<int>(frees.size()), q);
-    }
-    co_return static_cast<int>(pending.size());
+    co_await returnBufs(queue.hostAgent, q, std::move(frees));
+    co_return n;
 }
 
 sim::Task
@@ -364,21 +360,8 @@ PioNic::devTxTask(int q)
             continue;
         }
 
-        // Internal flow control: do not pull TX work while the RX side
-        // is backlogged.
-        while (cfg_.loopback &&
-               queue.rxInput.size() >=
-                   static_cast<std::size_t>(cfg_.nicBatch) * 2) {
-            co_await queue.wireDrained.wait();
-        }
-        if (wedged_ || devState_ != DevState::Running)
+        if (!co_await claimTxCore(q, cfg_.nicBatch))
             continue;
-
-        co_await queue.coreLock.acquire();
-        if (wedged_ || devState_ != DevState::Running) {
-            queue.coreLock.release();
-            continue;
-        }
 
         // Take a batch of Ready slots.
         struct Taken
@@ -478,12 +461,7 @@ PioNic::devTxTask(int q)
                 frees.push_back(t.spill);
             }
         }
-        if (!frees.empty()) {
-            co_await pool_->freeBurst(queue.nicAgent, frees.data(),
-                                      static_cast<int>(frees.size()),
-                                      q);
-        }
-
+        co_await returnBufs(queue.nicAgent, q, std::move(frees));
         queue.coreLock.release();
     }
 }
@@ -496,26 +474,8 @@ PioNic::devRxTask(int q)
     const std::uint32_t inline_cap = cfg_.inlineBytes();
 
     for (;;) {
-        while (wedged_ || devState_ != DevState::Running)
-            co_await runGate_.wait();
-        WirePacket first = co_await queue.rxInput.get();
-        // Hold the packet across a lifecycle transition: one stale
-        // delivery after a reset is harmless, processing on a dead
-        // device is not.
-        for (;;) {
-            while (wedged_ || devState_ != DevState::Running)
-                co_await runGate_.wait();
-            co_await queue.coreLock.acquire();
-            if (!wedged_ && devState_ == DevState::Running)
-                break;
-            queue.coreLock.release();
-        }
-
-        std::vector<WirePacket> batch{first};
-        while (static_cast<int>(batch.size()) < cfg_.nicBatch &&
-               !queue.rxInput.empty()) {
-            batch.push_back(co_await queue.rxInput.get());
-        }
+        const std::vector<WirePacket> batch =
+            co_await takeRxBatch(q, cfg_.nicBatch);
 
         // Place each message into the next Free RX slot. Waits are
         // bounded so a quiesce (host no longer returning credits)
@@ -568,25 +528,14 @@ PioNic::devRxTask(int q)
             idx++;
         }
         if (abandoned) {
-            std::vector<PacketBuf *> give;
-            for (const Placed &p : placed) {
-                if (p.spill)
-                    give.push_back(p.spill);
-            }
-            if (!give.empty()) {
-                co_await pool_->freeBurst(queue.nicAgent, give.data(),
-                                          static_cast<int>(give.size()),
-                                          q);
-            }
-            queue.coreLock.release();
+            std::vector<PacketBuf *> spills;
+            for (const Placed &p : placed)
+                spills.push_back(p.spill);
+            co_await abandonRxBatch(q, std::move(spills));
             continue;
         }
         if (placed.empty()) {
-            queue.coreLock.release();
-            if (queue.rxInput.size() <
-                static_cast<std::size_t>(cfg_.nicBatch) * 2) {
-                queue.wireDrained.notifyAll();
-            }
+            endRxBatch(q, cfg_.nicBatch);
             continue;
         }
 
@@ -615,12 +564,7 @@ PioNic::devRxTask(int q)
             co_await devPortDelay();
             noteSlotWrite(spans.front().addr);
         }
-
-        queue.coreLock.release();
-        if (queue.rxInput.size() <
-            static_cast<std::size_t>(cfg_.nicBatch) * 2) {
-            queue.wireDrained.notifyAll();
-        }
+        endRxBatch(q, cfg_.nicBatch);
     }
 }
 
@@ -628,13 +572,10 @@ sim::Coro<void>
 PioNic::flushTxCredits(int q, bool idle_flush)
 {
     Queue &queue = *queues_[q];
-    const auto entries = queue.txCreditPending.take(
-        idle_flush, queue.txProd - queue.txCons);
-    if (entries.empty())
-        co_return;
-    batchFlushes_.at(idle_flush ? "idle" : "full")++;
-    if (queue.batchOcc)
-        *queue.batchOcc += entries.size();
+    const auto entries = takeBatch(
+        q, queue.txCreditPending,
+        idle_flush ? FlushReason::Idle : FlushReason::Full,
+        queue.txProd - queue.txCons);
 
     std::vector<mem::CoherentSystem::Span> spans;
     std::vector<std::uint32_t> idxs;
@@ -656,17 +597,13 @@ PioNic::flushTxCredits(int q, bool idle_flush)
 }
 
 sim::Coro<void>
-PioNic::flushRxCredits(int q, bool timeout_flush)
+PioNic::flushBatch(int q, bool timeout_flush)
 {
     Queue &queue = *queues_[q];
-    const auto entries = queue.rxCreditPending.take(
-        timeout_flush,
+    const auto entries = takeBatch(
+        q, queue.rxCreditPending,
+        timeout_flush ? FlushReason::Timeout : FlushReason::Full,
         static_cast<std::uint32_t>(queue.rxInput.size()));
-    if (entries.empty())
-        co_return;
-    batchFlushes_.at(timeout_flush ? "timeout" : "full")++;
-    if (queue.batchOcc)
-        *queue.batchOcc += entries.size();
 
     std::vector<mem::CoherentSystem::Span> spans;
     std::vector<std::uint32_t> idxs;
@@ -687,22 +624,6 @@ PioNic::flushRxCredits(int q, bool timeout_flush)
                             std::move(publish));
     noteSlotWrite(spans.front().addr);
     co_return;
-}
-
-sim::Task
-PioNic::rxCreditTimerTask(int q)
-{
-    Queue &queue = *queues_[q];
-    const Tick period =
-        std::max<Tick>(1, cfg_.batch.flushTimeout / 2);
-    for (;;) {
-        co_await sim_.delay(period);
-        if (devState_ != DevState::Running)
-            continue; // reset() drops the stale pending credits.
-        if (!queue.rxCreditPending.empty() &&
-            queue.rxCreditPending.timedOut(sim_.now()))
-            co_await flushRxCredits(q, /*timeout_flush=*/true);
-    }
 }
 
 sim::Coro<int>
@@ -796,15 +717,7 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
             copy_spans.push_back({b->addr, std::max<std::uint32_t>(
                                                got[i].msg.len, 1)});
         }
-        const WirePacket &m = got[i].msg;
-        b->len = m.len;
-        b->txTime = m.txTime;
-        b->flowId = m.flowId;
-        b->userData = m.userData;
-        b->src = m.src;
-        b->dst = m.dst;
-        b->tp = m.tp;
-        b->span = m.span;
+        driver::fromWire(*b, got[i].msg);
         bufs[i] = b;
     }
     queue.rxCons = idx;
@@ -823,7 +736,7 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
         for (std::uint32_t i : taken_idx)
             queue.rxCreditPending.stage(i, nullptr, sim_.now());
         if (queue.rxCreditPending.full())
-            co_await flushRxCredits(q, /*timeout_flush=*/false);
+            co_await flushBatch(q, /*timeout_flush=*/false);
     } else {
         Queue *qp = &queue;
         auto publish = [this, qp, taken_idx]() {
@@ -839,14 +752,8 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
     }
 
     const int n = static_cast<int>(got.size());
-    queue.rxDeliveredTotal += static_cast<std::uint64_t>(n);
     rxDelivered_ += static_cast<std::uint64_t>(n);
-    for (int i = 0; i < n; ++i) {
-        if (bufs[i]->span.active) {
-            obs::SpanTable::global().commit(cfg_.spanPath,
-                                            bufs[i]->span, sim_.now());
-        }
-    }
+    delivered(q, bufs, n);
     co_return n;
 }
 

@@ -234,10 +234,9 @@ class PioNic : public driver::NicInterface
 
     /// @name Credit-return coalescing (Fig 16).
     /// @{
-    /** Flip every pending host-reaped RX slot back to Free at once. */
-    sim::Coro<void> flushRxCredits(int q, bool timeout_flush);
-    /** Bounds how long host-side RX credits may sit unflushed. */
-    sim::Task rxCreditTimerTask(int q);
+    /** Flip every pending host-reaped RX slot back to Free at once
+     *  (the timer-bounded batch). */
+    sim::Coro<void> flushBatch(int q, bool timeout_flush) override;
     /** Flip every pending device-consumed TX slot back to Free. */
     sim::Coro<void> flushTxCredits(int q, bool idle_flush);
     /// @}
