@@ -412,6 +412,105 @@ TEST(Coherence, DeterministicReplay)
 }
 
 /**
+ * Pins the range entry points' timing on ICX: the MSHR issue window
+ * (40 lines > mshrsPerCore = 12), a multi-span walk with an empty and a
+ * line-crossing span, store-buffer admission of back-to-back posted
+ * writes (36 + 30 lines > storeBufDepth = 56), the NT-store window, a
+ * flush, the publish-at-end wake of a poller on a range-written line,
+ * and a timed wait that expires. The expected values were recorded
+ * from the model; any change to them changes the modeled machine.
+ */
+TEST(Coherence, RangeTimingPinned)
+{
+    MemFixture f(mem::icxConfig());
+    auto &m = f.system;
+    const std::uint32_t n = 40;
+    const Addr a = m.alloc(1, n * kLineBytes);
+    const Addr b = m.alloc(0, n * kLineBytes);
+    const Addr c = m.alloc(1, 64 * kLineBytes);
+    const Addr d = m.alloc(0, 20 * kLineBytes);
+    const Addr idle = m.alloc(0, kLineBytes);
+    std::vector<Tick> done;      // Each operation's return, in order.
+    std::vector<Tick> published; // postMulti on_complete ticks.
+    std::vector<Tick> woke;      // Poller wakes.
+
+    struct Poller
+    {
+        static sim::Task
+        run(sim::Simulator &simv, CoherentSystem &m, Addr line,
+            std::vector<Tick> &woke)
+        {
+            // Woken by the line's own write, then held until the whole
+            // range publishes.
+            for (int i = 0; i < 2; ++i) {
+                co_await m.waitLineChange(line, m.lineVersion(line));
+                woke.push_back(simv.now());
+            }
+        }
+    };
+
+    const std::vector<CoherentSystem::Span> spans{
+        {b, 0}, {b + kLineBytes - 8, 16}, {a, 20 * kLineBytes}};
+    const std::vector<CoherentSystem::Span> post1{
+        {c, 20 * kLineBytes}, {c + 40 * kLineBytes, 16 * kLineBytes}};
+    const std::vector<CoherentSystem::Span> post2{{a, 30 * kLineBytes}};
+    const std::function<void()> note = [&] {
+        published.push_back(f.simv.now());
+    };
+    f.run([&]() -> sim::Coro<void> {
+        co_await m.loadRange(f.reader0, a, n * kLineBytes);
+        done.push_back(f.simv.now());
+        f.simv.spawn(Poller::run(f.simv, m, a + 5 * kLineBytes, woke));
+        co_await f.simv.delay(1);
+        co_await m.storeRange(f.writer1, a, n * kLineBytes);
+        done.push_back(f.simv.now());
+        co_await m.loadRange(f.writer0, a, n * kLineBytes);
+        done.push_back(f.simv.now());
+        co_await m.storeRange(f.reader0, b, n * kLineBytes);
+        done.push_back(f.simv.now());
+        co_await m.accessMulti(f.writer1, spans, false);
+        done.push_back(f.simv.now());
+        co_await m.accessMulti(f.writer0, spans, true);
+        done.push_back(f.simv.now());
+        co_await m.postMulti(f.reader0, post1, note);
+        done.push_back(f.simv.now());
+        co_await m.postMulti(f.reader0, post2, note);
+        done.push_back(f.simv.now());
+        co_await m.ntStoreRange(f.writer0, d, 20 * kLineBytes);
+        done.push_back(f.simv.now());
+        co_await m.flush(f.writer1, a, 20 * kLineBytes);
+        done.push_back(f.simv.now());
+        co_await m.waitLineChangeUntil(idle, m.lineVersion(idle),
+                                       f.simv.now() + sim::fromNs(300));
+        done.push_back(f.simv.now());
+        co_return;
+    });
+
+    // loadRange, storeRange, loadRange, storeRange, accessMulti read
+    // and write, postMulti x2, ntStoreRange, flush, expired wait.
+    EXPECT_EQ(done, (std::vector<Tick>{446553, 1049098, 1395256, 1684476,
+                                       1803862, 2033772, 2039901, 2184624,
+                                       2268219, 2768219, 3068219}));
+    EXPECT_EQ(published, (std::vector<Tick>{2472241, 2543616}));
+    // The second wake is the storeRange's own return: the publish.
+    EXPECT_EQ(woke, (std::vector<Tick>{566940, 1049098}));
+
+    auto counts = [&](AgentId ag) {
+        const auto &k = m.counters(ag);
+        return std::vector<std::uint64_t>{
+            k.loads,       k.stores,     k.l2Hits,         k.l2Misses,
+            k.llcHits,     k.dramReads,  k.remoteReads,    k.remoteRfos,
+            k.prefetchIssued, k.prefetchRemote};
+    };
+    using V = std::vector<std::uint64_t>;
+    EXPECT_EQ(counts(f.reader0), (V{1, 3, 74, 72, 0, 46, 2, 28, 94, 64}));
+    EXPECT_EQ(counts(f.writer0), (V{1, 21, 38, 24, 0, 2, 2, 22, 42, 38}));
+    EXPECT_EQ(counts(f.writer1), (V{1, 1, 20, 42, 0, 0, 2, 40, 22, 22}));
+    EXPECT_EQ(m.upiBytesInto(0), 11840u);
+    EXPECT_EQ(m.upiBytesInto(1), 6336u);
+}
+
+/**
  * Pingpong shape check (Figure 8): co-locating the two signal words on
  * one cache line must beat separate lines by the paper's 1.7-2.4x.
  */
