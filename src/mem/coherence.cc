@@ -68,14 +68,11 @@ CoherentSystem::alloc(int home_socket, std::uint64_t bytes,
 }
 
 sim::Gate &
-CoherentSystem::gateFor(Addr line)
+CoherentSystem::gateFor(LineDir &d)
 {
-    auto it = gates_.find(line);
-    if (it == gates_.end()) {
-        it = gates_.emplace(line, std::make_unique<sim::Gate>(sim_))
-                 .first;
-    }
-    return *it->second;
+    if (!d.gate)
+        d.gate = std::make_unique<sim::Gate>(sim_);
+    return *d.gate;
 }
 
 void
@@ -89,6 +86,7 @@ CoherentSystem::noteWriter(LineDir &d, AgentId a)
 void
 CoherentSystem::bumpVersion(LineDir &d, Addr line, Tick when)
 {
+    d.writeBusyUntil = std::max(d.writeBusyUntil, when);
     d.version++;
     if (faultsArmed_) {
         // A stuck invalidation defers the waiter wakeup past the
@@ -102,11 +100,39 @@ CoherentSystem::bumpVersion(LineDir &d, Addr line, Tick when)
                 stuck_.erase(st);
         }
     }
-    auto it = gates_.find(line);
-    if (it != gates_.end() && it->second->hasWaiters()) {
-        sim::Gate *g = it->second.get();
+    if (d.gate && d.gate->hasWaiters()) {
+        sim::Gate *g = d.gate.get();
         sim_.scheduleCallback(when, [g] { g->notifyAll(); });
     }
+}
+
+void
+CoherentSystem::noteRemote(AgentId a, Addr line, bool write, bool prefetch,
+                           [[maybe_unused]] int supplier,
+                           [[maybe_unused]] std::uint32_t bytes, Tick t,
+                           const char *what)
+{
+    AgentCounters &k = agents_[a].counters;
+    if (prefetch) {
+        k.prefetchRemote++;
+        return;
+    }
+    if (write) {
+        k.remoteRfos++;
+        telem_.remoteRfos++;
+    } else {
+        k.remoteReads++;
+        telem_.remoteReads++;
+    }
+    if (what) {
+        obs::tracepoint(write ? obs::EventKind::CoherenceRemoteRfo
+                              : obs::EventKind::CoherenceRemoteRead,
+                        what, t, line);
+    }
+    if (write)
+        CCN_PROF(noteRemoteRfo(line, a, supplier, bytes, t));
+    else
+        CCN_PROF(noteRemoteRead(line, a, supplier, bytes, t));
 }
 
 Tick
@@ -328,7 +354,6 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
             if (!prefetch) {
                 ag.counters.l2Hits++;
                 noteWriter(d, a);
-                d.writeBusyUntil = std::max(d.writeBusyUntil, hit_done);
                 bumpVersion(d, line, hit_done);
             }
             return hit_done;
@@ -346,17 +371,9 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
         if (inv.anyRemote || inv.llcRemote) {
             t = linkXfer(1 - s, cfg_.ctrlMsgBytes, t);
             t = linkXfer(s, cfg_.ctrlMsgBytes, t);
-            if (!prefetch) {
-                ag.counters.remoteRfos++;
-                telem_.remoteRfos++;
-                obs::tracepoint(obs::EventKind::CoherenceRemoteRfo,
-                                "rfo.upgrade", t, line);
-                // Upgrade: invalidation + ack control messages only.
-                CCN_PROF(noteRemoteRfo(line, a, inv.dirtyOwner,
-                                       2 * cfg_.ctrlMsgBytes, t));
-            } else {
-                ag.counters.prefetchRemote++;
-            }
+            // Upgrade: invalidation + ack control messages only.
+            noteRemote(a, line, true, prefetch, inv.dirtyOwner,
+                       2 * cfg_.ctrlMsgBytes, t, "rfo.upgrade");
         }
         e->state = LineState::Modified;
         e->dirty = true;
@@ -365,7 +382,6 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
         d.busyUntil = t;
         if (!prefetch) {
             noteWriter(d, a);
-            d.writeBusyUntil = std::max(d.writeBusyUntil, t);
             bumpVersion(d, line, t);
         }
         return t;
@@ -434,17 +450,9 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
             t = linkXfer(s, cfg_.ctrlMsgBytes, t);
         }
         if (crossed) {
-            if (!prefetch) {
-                ag.counters.remoteRfos++;
-                telem_.remoteRfos++;
-                obs::tracepoint(obs::EventKind::CoherenceRemoteRfo,
-                                "rfo.miss", t, line);
-                CCN_PROF(noteRemoteRfo(
-                    line, a, inv.dirtyOwner,
-                    cfg_.ctrlMsgBytes + cfg_.dataMsgBytes, t));
-            } else {
-                ag.counters.prefetchRemote++;
-            }
+            noteRemote(a, line, true, prefetch, inv.dirtyOwner,
+                       cfg_.ctrlMsgBytes + cfg_.dataMsgBytes, t,
+                       "rfo.miss");
         }
         installL2(a, line, LineState::Modified, true, t);
         d.owner = static_cast<std::int16_t>(a);
@@ -452,7 +460,6 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
         d.busyUntil = t;
         if (!prefetch) {
             noteWriter(d, a);
-            d.writeBusyUntil = std::max(d.writeBusyUntil, t);
             bumpVersion(d, line, t);
             maybePrefetch(a, line, start);
         }
@@ -461,9 +468,7 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
 
     // Read miss.
     CacheEntry *oe = nullptr;
-    // Forwarding L2 agent; -1 = home/LLC supply. Only the profiler
-    // hooks read it, and CCN_COHERENCE_PROFILER=OFF compiles them out.
-    [[maybe_unused]] int supplier = -1;
+    int supplier = -1; // Forwarding L2 agent; -1 = home/LLC supply.
     if (d.owner >= 0 && d.owner != a)
         oe = l2_[d.owner].find(line);
 
@@ -511,11 +516,9 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
                             "migratory.handoff", t, line);
             CCN_PROF(noteMigratory(line, a, owner, t));
             if (crossed) {
-                ag.counters.remoteReads++;
-                telem_.remoteReads++;
-                CCN_PROF(noteRemoteRead(
-                    line, a, owner,
-                    cfg_.ctrlMsgBytes + cfg_.dataMsgBytes, t));
+                noteRemote(a, line, false, false, owner,
+                           cfg_.ctrlMsgBytes + cfg_.dataMsgBytes, t,
+                           nullptr);
             }
             installL2(a, line, LineState::Exclusive, true, t);
             d.owner = static_cast<std::int16_t>(a);
@@ -571,17 +574,8 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
     }
 
     if (crossed) {
-        if (!prefetch) {
-            ag.counters.remoteReads++;
-            telem_.remoteReads++;
-            obs::tracepoint(obs::EventKind::CoherenceRemoteRead,
-                            "read.miss", t, line);
-            CCN_PROF(noteRemoteRead(
-                line, a, supplier,
-                cfg_.ctrlMsgBytes + cfg_.dataMsgBytes, t));
-        } else {
-            ag.counters.prefetchRemote++;
-        }
+        noteRemote(a, line, false, prefetch, supplier,
+                   cfg_.ctrlMsgBytes + cfg_.dataMsgBytes, t, "read.miss");
     }
 
     d.busyUntil = t;
@@ -600,33 +594,76 @@ CoherentSystem::walkLineProtocol(AgentId a, Addr line, bool write,
     return t;
 }
 
+template <typename Fn>
+void
+CoherentSystem::Lines::forEach(Fn &&fn) const
+{
+    if (!spans) {
+        const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
+        for (Addr l = lineOf(addr); l <= last; l += kLineBytes)
+            fn(l);
+        return;
+    }
+    for (const Span &sp : *spans) {
+        if (sp.bytes != 0)
+            Lines{sp.addr, sp.bytes}.forEach(fn);
+    }
+}
+
+template <typename Step>
+Tick
+CoherentSystem::pipelined(const Lines &lines, int depth, Step &&step)
+{
+    std::deque<Tick> inflight;
+    Tick t = sim_.now();
+    Tick done = t;
+    lines.forEach([&](Addr l) {
+        // A full window issues the next line when its oldest walk
+        // completes; issue times never go backwards.
+        if (inflight.size() == static_cast<std::size_t>(depth)) {
+            t = std::max(t, inflight.front());
+            inflight.pop_front();
+        }
+        const Tick c = step(l, t);
+        inflight.push_back(c);
+        done = std::max(done, c);
+    });
+    return done;
+}
+
+void
+CoherentSystem::publishAt(const Lines &lines, Tick done)
+{
+    lines.forEach([&](Addr l) {
+        LineDir &d = dir_[l];
+        d.writeBusyUntil = std::max(d.writeBusyUntil, done);
+    });
+}
+
 sim::Coro<void>
 CoherentSystem::load(AgentId a, Addr addr, std::uint32_t bytes)
 {
-    agents_[a].counters.loads++;
-    const Tick start = sim_.now();
-    Tick done = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes)
-        done = std::max(done, walkLine(a, l, false, start, false));
-    if (done > sim_.now())
-        co_await sim_.delayUntil(done);
-    co_return;
+    return access(a, addr, bytes, false);
 }
 
 sim::Coro<void>
 CoherentSystem::store(AgentId a, Addr addr, std::uint32_t bytes)
 {
-    agents_[a].counters.stores++;
+    return access(a, addr, bytes, true);
+}
+
+sim::Coro<void>
+CoherentSystem::access(AgentId a, Addr addr, std::uint32_t bytes,
+                       bool write)
+{
+    AgentCounters &k = agents_[a].counters;
+    (write ? k.stores : k.loads)++;
     const Tick start = sim_.now();
     Tick done = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes)
-        done = std::max(done, walkLine(a, l, true, start, false));
-    if (done > sim_.now())
-        co_await sim_.delayUntil(done);
+    Lines{addr, bytes}.forEach([&](Addr l) {
+        done = std::max(done, walkLine(a, l, write, start, false));
+    });
+    co_await sim_.delayUntil(done);
     co_return;
 }
 
@@ -645,12 +682,9 @@ CoherentSystem::atomicRmw(AgentId a, Addr addr)
 sim::Coro<void>
 CoherentSystem::flush(AgentId a, Addr addr, std::uint32_t bytes)
 {
-    const Tick start = sim_.now();
-    Tick t = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
+    Tick t = sim_.now();
     const int s = agents_[a].socket;
-    for (Addr l = first; l <= last; l += kLineBytes) {
+    Lines{addr, bytes}.forEach([&](Addr l) {
         // CLFLUSHOPT: serialized per-line issue cost (§3.3 notes it is
         // expensive and per-line); dirty data writes back to home.
         t += cfg_.flushLat;
@@ -663,7 +697,7 @@ CoherentSystem::flush(AgentId a, Addr addr, std::uint32_t bytes)
                 wb = linkXfer(h, cfg_.dataMsgBytes, wb);
             dram_[h].reserveAt(wb, kLineBytes);
         }
-    }
+    });
     co_await sim_.delayUntil(t);
     co_return;
 }
@@ -671,158 +705,64 @@ CoherentSystem::flush(AgentId a, Addr addr, std::uint32_t bytes)
 sim::Coro<void>
 CoherentSystem::loadRange(AgentId a, Addr addr, std::uint64_t bytes)
 {
-    agents_[a].counters.loads++;
-    const Tick start = sim_.now();
-    const std::size_t window =
-        static_cast<std::size_t>(cfg_.mshrsPerCore);
-    std::deque<Tick> inflight;
-    Tick done = start;
-    Tick t = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes) {
-        Tick issue = t;
-        if (inflight.size() == window) {
-            issue = std::max(t, inflight.front());
-            inflight.pop_front();
-        }
-        const Tick c = walkLine(a, l, false, issue, false);
-        inflight.push_back(c);
-        done = std::max(done, c);
-        t = issue;
-    }
-    if (done > sim_.now())
-        co_await sim_.delayUntil(done);
-    co_return;
+    return accessRange(a, Lines{addr, bytes}, false);
 }
 
 sim::Coro<void>
 CoherentSystem::storeRange(AgentId a, Addr addr, std::uint64_t bytes)
 {
-    agents_[a].counters.stores++;
-    const Tick start = sim_.now();
-    const std::size_t window =
-        static_cast<std::size_t>(cfg_.mshrsPerCore);
-    std::deque<Tick> inflight;
-    Tick done = start;
-    Tick t = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes) {
-        Tick issue = t;
-        if (inflight.size() == window) {
-            issue = std::max(t, inflight.front());
-            inflight.pop_front();
-        }
-        const Tick c = walkLine(a, l, true, issue, false);
-        inflight.push_back(c);
-        done = std::max(done, c);
-        t = issue;
-    }
-    // Logical state is published when the whole range completes;
-    // extend each line's pending-write horizon so pollers woken by an
-    // individual line's completion re-wait until the publish.
-    for (Addr l = first; l <= last; l += kLineBytes) {
-        LineDir &d = dir_[l];
-        d.writeBusyUntil = std::max(d.writeBusyUntil, done);
-    }
-    if (done > sim_.now())
-        co_await sim_.delayUntil(done);
-    co_return;
-}
-
-sim::Coro<void>
-CoherentSystem::ntStoreRange(AgentId a, Addr addr, std::uint64_t bytes)
-{
-    const Tick start = sim_.now();
-    const int s = agents_[a].socket;
-    // NT stores drain through the line-fill/WC buffers: concurrency is
-    // LFB-limited, well below the regular store-buffer depth.
-    const std::size_t window = static_cast<std::size_t>(
-        std::max(4, cfg_.wcBuffers / 3));
-    std::deque<Tick> inflight;
-    Tick done = start;
-    Tick t = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes) {
-        agents_[a].counters.stores++;
-        Tick issue = t;
-        if (inflight.size() == window) {
-            issue = std::max(t, inflight.front());
-            inflight.pop_front();
-        }
-        LineDir &d = dir_[l];
-        invalidateCopies(d, l, s, -1);
-        l2_[a].erase(l); // NT stores never allocate locally.
-        d.lastWriter = static_cast<std::int16_t>(a);
-        d.migratory = false; // Streaming, not migratory.
-        const int home = homeSocket(l);
-        Tick c = std::max(issue, d.busyUntil) + cfg_.cycles(1.0);
-        if (home != s) {
-            // Remote NT write: ownership handshake over the link.
-            c = upiInto_[home].reserveAt(c, cfg_.ntMsgBytes) +
-                cfg_.upiHop;
-        }
-        c = dram_[home].reserveAt(c, kLineBytes) + cfg_.dramLat / 2;
-        d.busyUntil = c;
-        d.writeBusyUntil = std::max(d.writeBusyUntil, c);
-        bumpVersion(d, l, c);
-        inflight.push_back(c);
-        done = std::max(done, c);
-        t = issue;
-    }
-    if (done > sim_.now())
-        co_await sim_.delayUntil(done);
-    co_return;
+    return accessRange(a, Lines{addr, bytes}, true);
 }
 
 sim::Coro<void>
 CoherentSystem::accessMulti(AgentId a, const std::vector<Span> &spans,
                             bool write)
 {
+    return accessRange(a, Lines{.spans = &spans}, write);
+}
+
+sim::Coro<void>
+CoherentSystem::accessRange(AgentId a, Lines lines, bool write)
+{
+    AgentCounters &k = agents_[a].counters;
+    (write ? k.stores : k.loads)++;
+    const Tick done =
+        pipelined(lines, cfg_.mshrsPerCore, [&](Addr l, Tick issue) {
+            return walkLine(a, l, write, issue, false);
+        });
     if (write)
-        agents_[a].counters.stores++;
-    else
-        agents_[a].counters.loads++;
-    const Tick start = sim_.now();
-    const std::size_t window =
-        static_cast<std::size_t>(cfg_.mshrsPerCore);
-    std::deque<Tick> inflight;
-    Tick done = start;
-    Tick t = start;
-    for (const Span &sp : spans) {
-        if (sp.bytes == 0)
-            continue;
-        const Addr first = lineOf(sp.addr);
-        const Addr last = lineOf(sp.addr + sp.bytes - 1);
-        for (Addr l = first; l <= last; l += kLineBytes) {
-            Tick issue = t;
-            if (inflight.size() == window) {
-                issue = std::max(t, inflight.front());
-                inflight.pop_front();
+        publishAt(lines, done);
+    co_await sim_.delayUntil(done);
+    co_return;
+}
+
+sim::Coro<void>
+CoherentSystem::ntStoreRange(AgentId a, Addr addr, std::uint64_t bytes)
+{
+    const int s = agents_[a].socket;
+    // NT stores drain through the line-fill/WC buffers: concurrency is
+    // LFB-limited, well below the regular store-buffer depth.
+    const int depth = std::max(4, cfg_.wcBuffers / 3);
+    const Tick done =
+        pipelined(Lines{addr, bytes}, depth, [&](Addr l, Tick issue) {
+            agents_[a].counters.stores++;
+            LineDir &d = dir_[l];
+            invalidateCopies(d, l, s, -1);
+            l2_[a].erase(l); // NT stores never allocate locally.
+            d.lastWriter = static_cast<std::int16_t>(a);
+            d.migratory = false; // Streaming, not migratory.
+            const int home = homeSocket(l);
+            Tick c = std::max(issue, d.busyUntil) + cfg_.cycles(1.0);
+            if (home != s) {
+                // Remote NT write: ownership handshake over the link.
+                c = linkXfer(home, cfg_.ntMsgBytes, c);
             }
-            const Tick c = walkLine(a, l, write, issue, false);
-            inflight.push_back(c);
-            done = std::max(done, c);
-            t = issue;
-        }
-    }
-    if (write) {
-        // Publish-at-end semantics: see storeRange().
-        for (const Span &sp : spans) {
-            if (sp.bytes == 0)
-                continue;
-            const Addr first = lineOf(sp.addr);
-            const Addr last = lineOf(sp.addr + sp.bytes - 1);
-            for (Addr l = first; l <= last; l += kLineBytes) {
-                LineDir &d = dir_[l];
-                d.writeBusyUntil = std::max(d.writeBusyUntil, done);
-            }
-        }
-    }
-    if (done > sim_.now())
-        co_await sim_.delayUntil(done);
+            c = dram_[home].reserveAt(c, kLineBytes) + cfg_.dramLat / 2;
+            d.busyUntil = c;
+            bumpVersion(d, l, c);
+            return c;
+        });
+    co_await sim_.delayUntil(done);
     co_return;
 }
 
@@ -853,46 +793,19 @@ CoherentSystem::postMulti(AgentId a, const std::vector<Span> &spans,
             ag.posted.pop_front();
     }
 
-    const Tick start = sim_.now();
-    const std::size_t window =
-        static_cast<std::size_t>(cfg_.mshrsPerCore);
-    std::deque<Tick> inflight;
-    Tick done = start;
-    Tick t = start;
-    for (const Span &sp : spans) {
-        if (sp.bytes == 0)
-            continue;
-        const Addr first = lineOf(sp.addr);
-        const Addr last = lineOf(sp.addr + sp.bytes - 1);
-        for (Addr l = first; l <= last; l += kLineBytes) {
-            Tick issue = t;
-            if (inflight.size() == window) {
-                issue = std::max(t, inflight.front());
-                inflight.pop_front();
-            }
-            const Tick c = walkLine(a, l, true, issue, false);
-            inflight.push_back(c);
-            done = std::max(done, c);
-            t = issue;
-            ag.posted.push_back(c);
-        }
-    }
+    const Lines walk{.spans = &spans};
+    Tick done = pipelined(walk, cfg_.mshrsPerCore, [&](Addr l, Tick issue) {
+        const Tick c = walkLine(a, l, true, issue, false);
+        ag.posted.push_back(c);
+        return c;
+    });
     std::sort(ag.posted.begin(), ag.posted.end());
 
     // TSO: a later posted write never becomes visible before an
     // earlier one from the same core.
     done = std::max(done, ag.lastPostedPublish);
     ag.lastPostedPublish = done;
-    for (const Span &sp : spans) {
-        if (sp.bytes == 0)
-            continue;
-        const Addr first = lineOf(sp.addr);
-        const Addr last = lineOf(sp.addr + sp.bytes - 1);
-        for (Addr l = first; l <= last; l += kLineBytes) {
-            LineDir &d = dir_[l];
-            d.writeBusyUntil = std::max(d.writeBusyUntil, done);
-        }
-    }
+    publishAt(walk, done);
     if (on_complete) {
         if (done > sim_.now())
             sim_.scheduleCallback(done, std::move(on_complete));
@@ -903,6 +816,12 @@ CoherentSystem::postMulti(AgentId a, const std::vector<Span> &spans,
     co_await sim_.delay(cfg_.cycles(1.0 + 0.5 * static_cast<double>(
                                               lines)));
     co_return;
+}
+
+sim::Coro<void>
+CoherentSystem::waitLineChange(Addr line, std::uint32_t seen_version)
+{
+    return waitLineChangeUntil(line, seen_version, sim::kTickMax);
 }
 
 sim::Coro<void>
@@ -924,11 +843,19 @@ CoherentSystem::waitLineChangeUntil(Addr line,
     if (d.version != seen_version || deadline <= sim_.now())
         co_return;
     if (d.writeBusyUntil > sim_.now()) {
+        // A write on this line is still in flight; its completion is
+        // the wakeup (this closes the lost-wakeup window for waiters
+        // arriving after the write's walk but before its completion).
+        // Read transfers deliberately do not wake pollers.
         co_await sim_.delayUntil(
             std::min(deadline, d.writeBusyUntil));
         co_return;
     }
-    co_await gateFor(lineOf(line)).waitUntil(deadline);
+    // An untimed wait schedules no timeout event.
+    if (deadline == sim::kTickMax)
+        co_await gateFor(d).wait();
+    else
+        co_await gateFor(d).waitUntil(deadline);
     co_return;
 }
 
@@ -956,48 +883,20 @@ CoherentSystem::lineVersion(Addr line)
     return dir_[lineOf(line)].version;
 }
 
-sim::Coro<void>
-CoherentSystem::waitLineChange(Addr line, std::uint32_t seen_version)
-{
-    if (faultsArmed_) {
-        auto st = stuck_.find(lineOf(line));
-        if (st != stuck_.end() && st->second.until > sim_.now()) {
-            co_await sim_.delayUntil(st->second.until);
-            co_return;
-        }
-    }
-    LineDir &d = dir_[lineOf(line)];
-    if (d.version != seen_version)
-        co_return;
-    if (d.writeBusyUntil > sim_.now()) {
-        // A write on this line is still in flight; its completion is
-        // the wakeup (this closes the lost-wakeup window for waiters
-        // arriving after the write's walk but before its completion).
-        // Read transfers deliberately do not wake pollers.
-        co_await sim_.delayUntil(d.writeBusyUntil);
-        co_return;
-    }
-    co_await gateFor(lineOf(line)).wait();
-    co_return;
-}
-
 Tick
 CoherentSystem::ddioWrite(int socket, Addr addr, std::uint32_t bytes,
                           Tick start)
 {
-    Tick t = start + cfg_.chaLookupLat;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes) {
+    const Tick t = start + cfg_.chaLookupLat;
+    Lines{addr, bytes}.forEach([&](Addr l) {
         LineDir &d = dir_[l];
         invalidateCopies(d, l, socket, -1);
         insertLlc(socket, l, true);
         d.lastWriter = -1;
         d.migratory = false;
-        d.writeBusyUntil = std::max(d.writeBusyUntil, t);
         bumpVersion(d, l, t);
         telem_.ddioWrites++;
-    }
+    });
     return t;
 }
 
@@ -1006,9 +905,7 @@ CoherentSystem::dmaRead(int socket, Addr addr, std::uint32_t bytes,
                         Tick start)
 {
     Tick done = start;
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
-    for (Addr l = first; l <= last; l += kLineBytes) {
+    Lines{addr, bytes}.forEach([&](Addr l) {
         LineDir &d = dir_[l];
         Tick t = start + cfg_.chaLookupLat;
         CacheEntry *oe = nullptr;
@@ -1026,7 +923,7 @@ CoherentSystem::dmaRead(int socket, Addr addr, std::uint32_t bytes,
             t = dramAccess(homeSocket(l), kLineBytes, t);
         }
         done = std::max(done, t);
-    }
+    });
     return done;
 }
 
@@ -1085,19 +982,17 @@ CoherentSystem::rangePoisoned(Addr addr, std::uint32_t bytes)
     if (!faultsArmed_ || poisoned_.empty())
         return false;
     const Tick now = sim_.now();
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
     bool hit = false;
-    for (Addr l = first; l <= last; l += kLineBytes) {
+    Lines{addr, bytes}.forEach([&](Addr l) {
         auto it = poisoned_.find(l);
         if (it == poisoned_.end())
-            continue;
+            return;
         if (it->second > now) {
             hit = true;
         } else {
             poisoned_.erase(it);
         }
-    }
+    });
     if (hit)
         telem_.poisonReads++;
     return hit;
@@ -1109,10 +1004,8 @@ CoherentSystem::rangeStale(Addr addr, std::uint32_t bytes)
     if (!faultsArmed_ || (torn_.empty() && stuck_.empty()))
         return false;
     const Tick now = sim_.now();
-    const Addr first = lineOf(addr);
-    const Addr last = lineOf(addr + (bytes ? bytes - 1 : 0));
     bool stale = false;
-    for (Addr l = first; l <= last; l += kLineBytes) {
+    Lines{addr, bytes}.forEach([&](Addr l) {
         auto it = torn_.find(l);
         if (it != torn_.end()) {
             if (it->second > now) {
@@ -1129,7 +1022,7 @@ CoherentSystem::rangeStale(Addr addr, std::uint32_t bytes)
             else
                 stuck_.erase(st);
         }
-    }
+    });
     return stale;
 }
 

@@ -139,8 +139,8 @@ class CoherentSystem
 
     /// @name Range operations with MSHR-limited overlap.
     /// Model a core issuing back-to-back line accesses with up to
-    /// mshrsPerCore misses in flight (loads/stores) or storeBufDepth
-    /// posted nontemporal stores.
+    /// mshrsPerCore misses in flight (loads/stores, posted stores) or
+    /// max(4, wcBuffers / 3) nontemporal stores.
     /// @{
     sim::Coro<void> loadRange(AgentId a, Addr addr, std::uint64_t bytes);
     sim::Coro<void> storeRange(AgentId a, Addr addr, std::uint64_t bytes);
@@ -376,7 +376,47 @@ class CoherentSystem
          * waking pollers on mere read transfers.
          */
         sim::Tick writeBusyUntil = 0;
+        /** Pollers of this line; created by the first wait. */
+        std::unique_ptr<sim::Gate> gate;
     };
+
+    /** The lines a walk covers: [addr, addr + bytes), or @p spans. */
+    struct Lines
+    {
+        Addr addr = 0;
+        std::uint64_t bytes = 0;
+        const std::vector<Span> *spans = nullptr;
+
+        /**
+         * Call fn(line) for every line in address order. A range of 0
+         * bytes covers the line at @p addr; an empty span covers none.
+         */
+        template <typename Fn>
+        void forEach(Fn &&fn) const;
+    };
+
+    /**
+     * The pipelined walk every range operation runs on: issue the
+     * lines in order from now with at most @p depth in flight;
+     * step(line, issue) walks one line and returns its completion.
+     * Returns the last completion (now if no line was issued).
+     */
+    template <typename Step>
+    sim::Tick pipelined(const Lines &lines, int depth, Step &&step);
+
+    /** load() and store(): every line issued at now. */
+    sim::Coro<void> access(AgentId a, Addr addr, std::uint32_t bytes,
+                           bool write);
+
+    /** loadRange(), storeRange() and accessMulti(). */
+    sim::Coro<void> accessRange(AgentId a, Lines lines, bool write);
+
+    /**
+     * Publish-at-end: a multi-line write's logical state is visible
+     * only once all of it completes at @p done, so pollers woken by
+     * one line's completion re-wait until then.
+     */
+    void publishAt(const Lines &lines, sim::Tick done);
 
     /**
      * Single-line access entry point: applies an active brownout
@@ -389,8 +429,21 @@ class CoherentSystem
     sim::Tick walkLineProtocol(AgentId a, Addr line, bool write,
                                sim::Tick start, bool prefetch);
 
-    /** Write-completion bookkeeping: version bump + waiter wakeup. */
+    /**
+     * Write-completion bookkeeping: pending-write horizon, version
+     * bump and waiter wakeup at @p when.
+     */
     void bumpVersion(LineDir &d, Addr line, sim::Tick when);
+
+    /**
+     * Count one cross-socket transfer (Figure 17): a demand RFO
+     * (@p write) or read that moved @p bytes from @p supplier (-1 for
+     * home/LLC), traced as @p what unless null. A prefetch counts
+     * only as prefetchRemote.
+     */
+    void noteRemote(AgentId a, Addr line, bool write, bool prefetch,
+                    int supplier, std::uint32_t bytes, sim::Tick t,
+                    const char *what);
 
     /** Update migratory-pattern detection on a write by @p a. */
     void noteWriter(LineDir &d, AgentId a);
@@ -427,7 +480,7 @@ class CoherentSystem
     /** Trigger the streaming prefetcher after a demand miss. */
     void maybePrefetch(AgentId a, Addr miss_line, sim::Tick start);
 
-    sim::Gate &gateFor(Addr line);
+    sim::Gate &gateFor(LineDir &d);
 
     sim::Simulator &sim_;
     PlatformConfig cfg_;
@@ -444,7 +497,6 @@ class CoherentSystem
     std::vector<Addr> allocNext_;
 
     std::unordered_map<Addr, LineDir> dir_;
-    std::unordered_map<Addr, std::unique_ptr<sim::Gate>> gates_;
 
     // ---- Fault-injection state (empty and unchecked until armed) ----
     /** A stuck invalidation: version held stale until the window ends. */
