@@ -435,19 +435,12 @@ PioNic::devTxTask(int q)
             else if (idle)
                 co_await flushTxCredits(q, /*idle_flush=*/true);
         } else {
-            Queue *qp = &queue;
             std::vector<std::uint32_t> taken_idx;
             taken_idx.reserve(batch.size());
             for (const Taken &t : batch)
                 taken_idx.push_back(t.idx);
-            auto publish = [this, qp, taken_idx]() {
-                for (std::uint32_t i : taken_idx)
-                    txSlot(*qp, i).state = SlotState::Free;
-            };
-            co_await mem_.postMulti(queue.nicAgent, spans,
-                                    std::move(publish));
-            co_await devPortDelay();
-            noteSlotWrite(spans.front().addr);
+            co_await returnCredits(queue, queue.txSlots,
+                                   std::move(taken_idx));
         }
 
         // Hand to the wire before buffer release.
@@ -577,22 +570,11 @@ PioNic::flushTxCredits(int q, bool idle_flush)
         idle_flush ? FlushReason::Idle : FlushReason::Full,
         queue.txProd - queue.txCons);
 
-    std::vector<mem::CoherentSystem::Span> spans;
     std::vector<std::uint32_t> idxs;
     idxs.reserve(entries.size());
-    for (const auto &e : entries) {
+    for (const auto &e : entries)
         idxs.push_back(e.idx);
-        spans.push_back({txLineOf(queue, e.idx), slotBytes()});
-    }
-    Queue *qp = &queue;
-    auto publish = [this, qp, idxs]() {
-        for (std::uint32_t i : idxs)
-            txSlot(*qp, i).state = SlotState::Free;
-    };
-    co_await mem_.postMulti(queue.nicAgent, spans,
-                            std::move(publish));
-    co_await devPortDelay();
-    noteSlotWrite(spans.front().addr);
+    co_await returnCredits(queue, queue.txSlots, std::move(idxs));
     co_return;
 }
 
@@ -605,23 +587,37 @@ PioNic::flushBatch(int q, bool timeout_flush)
         timeout_flush ? FlushReason::Timeout : FlushReason::Full,
         static_cast<std::uint32_t>(queue.rxInput.size()));
 
-    std::vector<mem::CoherentSystem::Span> spans;
     std::vector<std::uint32_t> idxs;
     idxs.reserve(entries.size());
-    for (const auto &e : entries) {
+    for (const auto &e : entries)
         idxs.push_back(e.idx);
-        spans.push_back({rxLineOf(queue, e.idx), slotBytes()});
+    co_await returnCredits(queue, queue.rxSlots, std::move(idxs));
+    co_return;
+}
+
+sim::Coro<void>
+PioNic::returnCredits(Queue &queue, std::vector<MsgSlot> &slots,
+                      std::vector<std::uint32_t> idxs)
+{
+    const bool tx = &slots == &queue.txSlots;
+    std::vector<mem::CoherentSystem::Span> spans;
+    spans.reserve(idxs.size());
+    for (std::uint32_t i : idxs) {
+        spans.push_back(
+            {tx ? txLineOf(queue, i) : rxLineOf(queue, i), slotBytes()});
     }
-    Queue *qp = &queue;
-    auto publish = [this, qp, idxs]() {
+    std::vector<MsgSlot> *sp = &slots;
+    auto publish = [this, sp, idxs = std::move(idxs)]() {
         for (std::uint32_t i : idxs) {
-            MsgSlot &s = rxSlot(*qp, i);
+            MsgSlot &s = (*sp)[i & slotMask_];
             s.msg = WirePacket{};
             s.state = SlotState::Free;
         }
     };
-    co_await mem_.postMulti(queue.hostAgent, spans,
+    co_await mem_.postMulti(tx ? queue.nicAgent : queue.hostAgent, spans,
                             std::move(publish));
+    if (tx)
+        co_await devPortDelay();
     noteSlotWrite(spans.front().addr);
     co_return;
 }
@@ -738,17 +734,7 @@ PioNic::rxBurst(int q, PacketBuf **bufs, int count)
         if (queue.rxCreditPending.full())
             co_await flushBatch(q, /*timeout_flush=*/false);
     } else {
-        Queue *qp = &queue;
-        auto publish = [this, qp, taken_idx]() {
-            for (std::uint32_t i : taken_idx) {
-                MsgSlot &s = rxSlot(*qp, i);
-                s.msg = WirePacket{};
-                s.state = SlotState::Free;
-            }
-        };
-        co_await mem_.postMulti(queue.hostAgent, spans,
-                                std::move(publish));
-        noteSlotWrite(spans.front().addr);
+        co_await returnCredits(queue, queue.rxSlots, std::move(taken_idx));
     }
 
     const int n = static_cast<int>(got.size());

@@ -239,6 +239,14 @@ class PioNic : public driver::NicInterface
     sim::Coro<void> flushBatch(int q, bool timeout_flush) override;
     /** Flip every pending device-consumed TX slot back to Free. */
     sim::Coro<void> flushTxCredits(int q, bool idle_flush);
+    /**
+     * Credit return: one posted burst flipping slots @p idxs of
+     * @p slots back to Free. TX credits come back from the device and
+     * pay devPortDelay(); RX credits come back from the host.
+     */
+    sim::Coro<void> returnCredits(Queue &queue,
+                                  std::vector<MsgSlot> &slots,
+                                  std::vector<std::uint32_t> idxs);
     /// @}
 
     /** Bytes occupied by one message slot. */
