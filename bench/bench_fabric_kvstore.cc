@@ -16,8 +16,6 @@
  * counters from the fabric quantify what the links actually ate.
  */
 
-#include <memory>
-
 #include "bench/common.hh"
 #include "net/fabric.hh"
 #include "stats/json.hh"
@@ -39,31 +37,19 @@ runPoint(double gbps, std::size_t queue_pkts, double offered)
 {
     const auto plat = mem::icxConfig();
     sim::Simulator simv;
-    mem::CoherentSystem server_mem(simv, plat);
-    mem::CoherentSystem client_mem(simv, plat);
-    sim::Rng rng_s(11), rng_c(12);
     obs::Sampler sampler(simv);
     sampler.start();
-
-    auto mk = [&](mem::CoherentSystem &m, int queues, sim::Rng &rng) {
-        auto cfg = ccnic::optimizedConfig(queues, 0, plat);
-        cfg.loopback = false;
-        auto nic = std::make_unique<ccnic::CcNic>(simv, m, cfg, 0, 1,
-                                                  rng);
-        nic->start();
-        return nic;
-    };
-    auto server_nic = mk(server_mem, 4, rng_s);
-    auto client_nic = mk(client_mem, 2, rng_c);
+    auto server = scenario::makeHost(simv, "ccnic", plat, 4, 11);
+    auto client = scenario::makeHost(simv, "ccnic", plat, 2, 12);
 
     net::Fabric fabric(simv);
     net::LinkConfig link;
     link.gbps = gbps;
     link.queuePackets = queue_pkts;
     const auto server_addr =
-        fabric.attach("server", net::hooksFor(*server_nic), link);
+        fabric.attach("server", scenario::hostHooks(*server), link);
     const auto client_addr =
-        fabric.attach("client", net::hooksFor(*client_nic), link);
+        fabric.attach("client", scenario::hostHooks(*client), link);
 
     workload::ClientServerConfig cfg;
     cfg.kv.serverThreads = 4;
@@ -74,8 +60,8 @@ runPoint(double gbps, std::size_t queue_pkts, double offered)
     cfg.window = sim::fromUs(250.0);
 
     FabricPoint p;
-    p.r = workload::runKvClientServer(simv, server_mem, *server_nic,
-                                      client_mem, *client_nic,
+    p.r = workload::runKvClientServer(simv, server->system, *server->nic,
+                                      client->system, *client->nic,
                                       server_addr, cfg);
     p.server = fabric.counters(server_addr);
     p.client = fabric.counters(client_addr);
@@ -93,25 +79,13 @@ runLossPoint(double loss_rate, double offered)
 {
     const auto plat = mem::icxConfig();
     sim::Simulator simv;
-    mem::CoherentSystem server_mem(simv, plat);
-    mem::CoherentSystem client_mem(simv, plat);
-    sim::Rng rng_s(11), rng_c(12);
     // Time-series snapshots for this point; the loss-free run's rows
     // feed the "timeseries_lossfree" section the counters gate rate-
     // checks (retransmit deltas must stay zero without loss).
     obs::Sampler sampler(simv);
     sampler.start();
-
-    auto mk = [&](mem::CoherentSystem &m, int queues, sim::Rng &rng) {
-        auto cfg = ccnic::optimizedConfig(queues, 0, plat);
-        cfg.loopback = false;
-        auto nic = std::make_unique<ccnic::CcNic>(simv, m, cfg, 0, 1,
-                                                  rng);
-        nic->start();
-        return nic;
-    };
-    auto server_nic = mk(server_mem, 4, rng_s);
-    auto client_nic = mk(client_mem, 2, rng_c);
+    auto server = scenario::makeHost(simv, "ccnic", plat, 4, 11);
+    auto client = scenario::makeHost(simv, "ccnic", plat, 2, 12);
 
     net::Fabric fabric(simv);
     net::LinkConfig link;
@@ -120,9 +94,9 @@ runLossPoint(double loss_rate, double offered)
     link.faults.dropRate = loss_rate;
     link.faults.seed = 99;
     const auto server_addr =
-        fabric.attach("server", net::hooksFor(*server_nic), link);
+        fabric.attach("server", scenario::hostHooks(*server), link);
     const auto client_addr =
-        fabric.attach("client", net::hooksFor(*client_nic), link);
+        fabric.attach("client", scenario::hostHooks(*client), link);
 
     workload::ClientServerConfig cfg;
     cfg.kv.serverThreads = 4;
@@ -139,7 +113,7 @@ runLossPoint(double loss_rate, double offered)
 
     LossPoint p;
     p.r = workload::runKvClientServerReliable(
-        simv, server_mem, *server_nic, client_mem, *client_nic,
+        simv, server->system, *server->nic, client->system, *client->nic,
         server_addr, cfg);
     p.server = fabric.counters(server_addr);
     p.client = fabric.counters(client_addr);
@@ -218,22 +192,10 @@ runChaosPoint(double loss_rate, double offered)
 {
     const auto plat = mem::icxConfig();
     sim::Simulator simv;
-    mem::CoherentSystem server_mem(simv, plat);
-    mem::CoherentSystem client_mem(simv, plat);
-    sim::Rng rng_s(11), rng_c(12);
     obs::Sampler sampler(simv);
     sampler.start();
-
-    auto mk = [&](mem::CoherentSystem &m, int queues, sim::Rng &rng) {
-        auto cfg = ccnic::optimizedConfig(queues, 0, plat);
-        cfg.loopback = false;
-        auto nic = std::make_unique<ccnic::CcNic>(simv, m, cfg, 0, 1,
-                                                  rng);
-        nic->start();
-        return nic;
-    };
-    auto server_nic = mk(server_mem, 4, rng_s);
-    auto client_nic = mk(client_mem, 2, rng_c);
+    auto server = scenario::makeHost(simv, "ccnic", plat, 4, 11);
+    auto client = scenario::makeHost(simv, "ccnic", plat, 2, 12);
 
     net::Fabric fabric(simv);
     net::LinkConfig link;
@@ -242,9 +204,9 @@ runChaosPoint(double loss_rate, double offered)
     link.faults.dropRate = loss_rate;
     link.faults.seed = 99;
     const auto server_addr =
-        fabric.attach("server", net::hooksFor(*server_nic), link);
+        fabric.attach("server", scenario::hostHooks(*server), link);
     const auto client_addr =
-        fabric.attach("client", net::hooksFor(*client_nic), link);
+        fabric.attach("client", scenario::hostHooks(*client), link);
 
     workload::ClientServerConfig cfg;
     cfg.kv.serverThreads = 4;
@@ -259,7 +221,7 @@ runChaosPoint(double loss_rate, double offered)
     workload::ChaosConfig chaos;
     chaos.seed = 0xc4a05ULL;
     return workload::runKvClientServerChaos(
-        simv, server_mem, *server_nic, client_mem, *client_nic,
+        simv, server->system, *server->nic, client->system, *client->nic,
         fabric, server_addr, client_addr, cfg, chaos);
 }
 

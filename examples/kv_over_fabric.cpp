@@ -19,35 +19,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
 
-#include "ccnic/ccnic.hh"
 #include "mem/platform.hh"
 #include "net/fabric.hh"
+#include "scenario/world.hh"
 #include "workload/clientserver.hh"
 
 using namespace ccn;
 
 namespace {
-
-/** One simulated machine: memory system + started CC-NIC. */
-struct Host
-{
-    Host(sim::Simulator &sim, const mem::PlatformConfig &plat,
-         int queues, std::uint64_t seed)
-        : system(sim, plat), rng(seed)
-    {
-        auto cfg = ccnic::optimizedConfig(queues, 0, plat);
-        cfg.loopback = false; // TX goes to the fabric, not back to RX.
-        nic = std::make_unique<ccnic::CcNic>(sim, system, cfg, 0, 1,
-                                             rng);
-        nic->start();
-    }
-
-    mem::CoherentSystem system;
-    sim::Rng rng;
-    std::unique_ptr<ccnic::CcNic> nic;
-};
 
 void
 runOnce(const char *label, double gbps, std::size_t queue_pkts,
@@ -55,8 +35,10 @@ runOnce(const char *label, double gbps, std::size_t queue_pkts,
 {
     const auto plat = mem::icxConfig();
     sim::Simulator simv;
-    Host server(simv, plat, /*queues=*/4, /*seed=*/5);
-    Host client(simv, plat, /*queues=*/2, /*seed=*/6);
+    auto server = scenario::makeHost(simv, "ccnic", plat, /*queues=*/4,
+                                     /*seed=*/5);
+    auto client = scenario::makeHost(simv, "ccnic", plat, /*queues=*/2,
+                                     /*seed=*/6);
 
     net::Fabric fabric(simv);
     net::LinkConfig link;
@@ -64,8 +46,8 @@ runOnce(const char *label, double gbps, std::size_t queue_pkts,
     link.propDelay = sim::fromNs(500.0);
     link.queuePackets = queue_pkts;
     const std::uint32_t server_addr =
-        fabric.attach("server", net::hooksFor(*server.nic), link);
-    fabric.attach("client", net::hooksFor(*client.nic), link);
+        fabric.attach("server", scenario::hostHooks(*server), link);
+    fabric.attach("client", scenario::hostHooks(*client), link);
 
     workload::ClientServerConfig cfg;
     cfg.kv.serverThreads = 4;
@@ -76,7 +58,7 @@ runOnce(const char *label, double gbps, std::size_t queue_pkts,
     cfg.window = sim::fromUs(300.0);
 
     const auto r = workload::runKvClientServer(
-        simv, server.system, *server.nic, client.system, *client.nic,
+        simv, server->system, *server->nic, client->system, *client->nic,
         server_addr, cfg);
 
     std::printf("\n[%s] %.0f Gbps links, %zu-packet queues, "
@@ -96,8 +78,10 @@ runReliable(double loss_rate, std::uint64_t seed, double offered_ops)
 {
     const auto plat = mem::icxConfig();
     sim::Simulator simv;
-    Host server(simv, plat, /*queues=*/4, /*seed=*/5);
-    Host client(simv, plat, /*queues=*/2, /*seed=*/6);
+    auto server = scenario::makeHost(simv, "ccnic", plat, /*queues=*/4,
+                                     /*seed=*/5);
+    auto client = scenario::makeHost(simv, "ccnic", plat, /*queues=*/2,
+                                     /*seed=*/6);
 
     net::Fabric fabric(simv);
     net::LinkConfig link;
@@ -107,8 +91,8 @@ runReliable(double loss_rate, std::uint64_t seed, double offered_ops)
     link.faults.dropRate = loss_rate;
     link.faults.seed = seed;
     const std::uint32_t server_addr =
-        fabric.attach("server", net::hooksFor(*server.nic), link);
-    fabric.attach("client", net::hooksFor(*client.nic), link);
+        fabric.attach("server", scenario::hostHooks(*server), link);
+    fabric.attach("client", scenario::hostHooks(*client), link);
 
     workload::ClientServerConfig cfg;
     cfg.kv.serverThreads = 4;
@@ -121,7 +105,7 @@ runReliable(double loss_rate, std::uint64_t seed, double offered_ops)
     cfg.seed = seed;
 
     const auto r = workload::runKvClientServerReliable(
-        simv, server.system, *server.nic, client.system, *client.nic,
+        simv, server->system, *server->nic, client->system, *client->nic,
         server_addr, cfg);
 
     std::printf("\n[reliable] %.2f%% loss on every link (seed %llu), "

@@ -13,36 +13,16 @@
 
 #include <cstdio>
 #include <iostream>
-#include <memory>
 
-#include "ccnic/ccnic.hh"
 #include "mem/platform.hh"
 #include "net/fabric.hh"
+#include "scenario/world.hh"
 
 using namespace ccn;
 
 namespace {
 
 constexpr std::uint32_t kPktLen = 1500;
-
-/** One simulated machine: memory system + started CC-NIC. */
-struct Host
-{
-    Host(sim::Simulator &sim, const mem::PlatformConfig &plat,
-         std::uint64_t seed)
-        : system(sim, plat), rng(seed)
-    {
-        auto cfg = ccnic::optimizedConfig(1, 0, plat);
-        cfg.loopback = false;
-        nic = std::make_unique<ccnic::CcNic>(sim, system, cfg, 0, 1,
-                                             rng);
-        nic->start();
-    }
-
-    mem::CoherentSystem system;
-    sim::Rng rng;
-    std::unique_ptr<ccnic::CcNic> nic;
-};
 
 struct Result
 {
@@ -54,7 +34,7 @@ struct Result
 /** Source host: transmit 1Mpps of 1.5KB packets to the middlebox. */
 sim::Task
 sourceTask(sim::Simulator &simv, mem::CoherentSystem &m,
-           ccnic::CcNic &nic, std::uint32_t mbx_addr)
+           driver::NicInterface &nic, std::uint32_t mbx_addr)
 {
     const int q = 0;
     const mem::AgentId agent = nic.hostAgent(q);
@@ -80,7 +60,7 @@ sourceTask(sim::Simulator &simv, mem::CoherentSystem &m,
 /** Middlebox host: inspect and forward to the sink. */
 sim::Task
 middleboxTask(sim::Simulator &simv, mem::CoherentSystem &m,
-              ccnic::CcNic &nic, std::uint32_t sink_addr,
+              driver::NicInterface &nic, std::uint32_t sink_addr,
               bool header_only, Result *out)
 {
     const int q = 0;
@@ -129,7 +109,7 @@ middleboxTask(sim::Simulator &simv, mem::CoherentSystem &m,
 
 /** Sink host: receive, count, release. */
 sim::Task
-sinkTask(sim::Simulator &simv, ccnic::CcNic &nic, Result *out)
+sinkTask(sim::Simulator &simv, driver::NicInterface &nic, Result *out)
 {
     const int q = 0;
     driver::PacketBuf *rx[32];
@@ -153,23 +133,23 @@ run(bool header_only, bool print_fabric)
 {
     sim::Simulator simv;
     const auto plat = mem::icxConfig();
-    Host source(simv, plat, 2);
-    Host mbx(simv, plat, 3);
-    Host sink(simv, plat, 4);
+    auto source = scenario::makeHost(simv, "ccnic", plat, 1, 2);
+    auto mbx = scenario::makeHost(simv, "ccnic", plat, 1, 3);
+    auto sink = scenario::makeHost(simv, "ccnic", plat, 1, 4);
 
     net::Fabric fabric(simv);
     net::LinkConfig link; // 100GbE defaults.
     const std::uint32_t mbx_addr =
-        fabric.attach("middlebox", net::hooksFor(*mbx.nic), link);
+        fabric.attach("middlebox", scenario::hostHooks(*mbx), link);
     const std::uint32_t sink_addr =
-        fabric.attach("sink", net::hooksFor(*sink.nic), link);
-    fabric.attach("source", net::hooksFor(*source.nic), link);
+        fabric.attach("sink", scenario::hostHooks(*sink), link);
+    fabric.attach("source", scenario::hostHooks(*source), link);
 
     Result r;
-    simv.spawn(sourceTask(simv, source.system, *source.nic, mbx_addr));
-    simv.spawn(middleboxTask(simv, mbx.system, *mbx.nic, sink_addr,
+    simv.spawn(sourceTask(simv, source->system, *source->nic, mbx_addr));
+    simv.spawn(middleboxTask(simv, mbx->system, *mbx->nic, sink_addr,
                              header_only, &r));
-    simv.spawn(sinkTask(simv, *sink.nic, &r));
+    simv.spawn(sinkTask(simv, *sink->nic, &r));
     simv.run(sim::fromUs(600.0));
     if (print_fabric)
         fabric.report(std::cout);
