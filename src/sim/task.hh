@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 namespace ccn::sim {
@@ -102,8 +103,34 @@ class Task
     Handle handle_;
 };
 
+namespace detail {
+
+/** Where a Coro<T>'s promise keeps its result. */
+template <typename T>
+struct CoroResult
+{
+    std::optional<T> value;
+
+    template <typename U>
+    void
+    return_value(U &&v)
+    {
+        value.emplace(std::forward<U>(v));
+    }
+};
+
+/** Coro<void> has no result. */
+template <>
+struct CoroResult<void>
+{
+    void return_void() {}
+};
+
+} // namespace detail
+
 /**
- * Lazily-started awaitable coroutine returning T.
+ * Lazily-started awaitable coroutine returning T (or nothing, for
+ * Coro<void>: an awaitable async procedure).
  *
  * The frame is owned by the Coro object (RAII); the typical pattern is
  * `T v = co_await someAsyncFn(...);` where the temporary Coro lives for
@@ -115,10 +142,9 @@ template <typename T>
 class [[nodiscard]] Coro
 {
   public:
-    struct promise_type
+    struct promise_type : detail::CoroResult<T>
     {
         std::coroutine_handle<> continuation;
-        std::optional<T> value;
 
         Coro
         get_return_object()
@@ -144,13 +170,6 @@ class [[nodiscard]] Coro
         };
 
         FinalAwaiter final_suspend() noexcept { return {}; }
-
-        template <typename U>
-        void
-        return_value(U &&v)
-        {
-            value.emplace(std::forward<U>(v));
-        }
 
         void unhandled_exception() { std::terminate(); }
     };
@@ -184,79 +203,9 @@ class [[nodiscard]] Coro
     T
     await_resume()
     {
-        return std::move(*handle_.promise().value);
+        if constexpr (!std::is_void_v<T>)
+            return std::move(*handle_.promise().value);
     }
-
-  private:
-    Handle handle_;
-};
-
-/** Coro<void> specialization: an awaitable async procedure. */
-template <>
-class [[nodiscard]] Coro<void>
-{
-  public:
-    struct promise_type
-    {
-        std::coroutine_handle<> continuation;
-
-        Coro
-        get_return_object()
-        {
-            return Coro(
-                std::coroutine_handle<promise_type>::from_promise(*this));
-        }
-
-        std::suspend_always initial_suspend() noexcept { return {}; }
-
-        struct FinalAwaiter
-        {
-            bool await_ready() noexcept { return false; }
-
-            std::coroutine_handle<>
-            await_suspend(std::coroutine_handle<promise_type> h) noexcept
-            {
-                auto cont = h.promise().continuation;
-                return cont ? cont : std::noop_coroutine();
-            }
-
-            void await_resume() noexcept {}
-        };
-
-        FinalAwaiter final_suspend() noexcept { return {}; }
-
-        void return_void() {}
-
-        void unhandled_exception() { std::terminate(); }
-    };
-
-    using Handle = std::coroutine_handle<promise_type>;
-
-    explicit Coro(Handle h) : handle_(h) {}
-
-    Coro(const Coro &) = delete;
-    Coro &operator=(const Coro &) = delete;
-
-    Coro(Coro &&other) noexcept
-        : handle_(std::exchange(other.handle_, nullptr))
-    {}
-
-    ~Coro()
-    {
-        if (handle_)
-            handle_.destroy();
-    }
-
-    bool await_ready() const noexcept { return false; }
-
-    std::coroutine_handle<>
-    await_suspend(std::coroutine_handle<> cont) noexcept
-    {
-        handle_.promise().continuation = cont;
-        return handle_;
-    }
-
-    void await_resume() {}
 
   private:
     Handle handle_;
