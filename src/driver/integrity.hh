@@ -107,9 +107,6 @@ class IntegrityGuard
         telem_.tornRejects++;
     }
 
-    /** Record a descriptor abandoned for integrity reasons. */
-    void noteDescDrop() { telem_.descDrops++; }
-
     /// @name Cumulative counts polled by the Watchdog.
     /// @{
     std::uint64_t retries() const { return retries_; }

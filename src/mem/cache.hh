@@ -84,7 +84,6 @@ class SetAssocCache
     /** Drop every line (used between experiment repetitions). */
     void clear();
 
-    std::uint32_t numSets() const { return numSets_; }
     std::uint32_t ways() const { return ways_; }
 
     /** Number of valid entries (O(capacity); for tests). */

@@ -80,13 +80,6 @@ struct PortCounters
     std::uint64_t reorders = 0;   ///< Packets reordered.
     std::uint64_t corrupts = 0;   ///< Payloads corrupted.
     /// @}
-
-    /** Every packet lost in the fabric on this port's links. */
-    std::uint64_t
-    totalDrops() const
-    {
-        return txDrops + rxDrops + faultDrops + downDrops;
-    }
 };
 
 /** Switched multi-host topology builder. */

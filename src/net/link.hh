@@ -159,7 +159,6 @@ class Link
     const LinkConfig &config() const { return cfg_; }
     const LinkStats &stats() const { return stats_; }
     const std::string &name() const { return name_; }
-    std::size_t queueDepth() const { return queue_.size(); }
 
   private:
     sim::Task drainTask();

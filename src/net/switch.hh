@@ -63,7 +63,6 @@ class Switch
     void ingress(int in_port, const WirePacket &pkt);
 
     const SwitchStats &stats() const { return stats_; }
-    int numPorts() const { return static_cast<int>(ports_.size()); }
 
   private:
     sim::Simulator &sim_;

@@ -160,9 +160,6 @@ class Registry
     /** Zero all live metrics and drop all retired totals. */
     void reset();
 
-    /** Number of live metric instances (tests). */
-    std::size_t liveCount() const { return live_.size(); }
-
   private:
     friend class Metric;
 

@@ -123,8 +123,6 @@ class SpanTable
         every_ = n ? n : 1;
     }
 
-    std::uint64_t sampleEvery() const { return every_; }
-
     /**
      * Called at host TX enqueue for every packet: activates @p span
      * (assigning an id and stamping HostEnqueue) on every Nth call.

@@ -172,10 +172,6 @@ class PcieLink
     const PcieParams &params() const { return params_; }
     int hostSocket() const { return hostSocket_; }
 
-    /** Data bytes moved in each direction (for reports). */
-    std::uint64_t bytesDownstream() const { return down_.bytesServed(); }
-    std::uint64_t bytesUpstream() const { return up_.bytesServed(); }
-
   private:
     friend class WcWindow;
 
@@ -219,9 +215,6 @@ class WcWindow
 
     /** sfence: flush all open buffers and wait for the drain. */
     sim::Coro<void> fence();
-
-    /** Buffers currently open (for tests). */
-    std::size_t openBuffers() const { return open_.size(); }
 
   private:
     struct OpenBuf

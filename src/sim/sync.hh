@@ -261,97 +261,12 @@ class Mailbox
 };
 
 /**
- * Serialized bandwidth resource (a link direction, a DRAM channel, a
- * device pipeline stage). Transactions reserve occupancy in FIFO order;
- * the caller is told when its transfer completes and should delay until
- * then. This gives M/D/1-style queueing behaviour under load.
- */
-class BandwidthResource
-{
-  public:
-    /**
-     * @param sim             Owning simulator (for now()).
-     * @param bytes_per_second Service rate.
-     */
-    BandwidthResource(Simulator &sim, double bytes_per_second)
-        : sim_(sim), bytesPerSecond_(bytes_per_second)
-    {}
-
-    /**
-     * Reserve occupancy for @p bytes starting no earlier than now.
-     * Returns the absolute completion tick. Does not suspend; callers
-     * co_await sim.delayUntil(result) if they need the data in hand.
-     */
-    Tick
-    reserve(std::uint64_t bytes)
-    {
-        const Tick start = std::max(sim_.now(), nextFree_);
-        const Tick duration = serializationTime(bytes, bytesPerSecond_);
-        nextFree_ = start + duration;
-        busyTicks_ += duration;
-        bytesServed_ += bytes;
-        return nextFree_;
-    }
-
-    /**
-     * Reserve occupancy for @p bytes starting no earlier than
-     * @p earliest (which may be in the simulated future, for composing
-     * multi-hop transactions). Returns the absolute completion tick.
-     */
-    Tick
-    reserveAt(Tick earliest, std::uint64_t bytes)
-    {
-        const Tick start = std::max(earliest, nextFree_);
-        const Tick duration = serializationTime(bytes, bytesPerSecond_);
-        nextFree_ = start + duration;
-        busyTicks_ += duration;
-        bytesServed_ += bytes;
-        return nextFree_;
-    }
-
-    /** Reserve a fixed duration (for non-byte-denominated stages). */
-    Tick
-    reserveTime(Tick duration)
-    {
-        const Tick start = std::max(sim_.now(), nextFree_);
-        nextFree_ = start + duration;
-        busyTicks_ += duration;
-        return nextFree_;
-    }
-
-    /** Earliest tick at which the resource is free. */
-    Tick nextFree() const { return nextFree_; }
-
-    /** Change the service rate (used by sensitivity sweeps). */
-    void setRate(double bytes_per_second) { bytesPerSecond_ = bytes_per_second; }
-
-    double rate() const { return bytesPerSecond_; }
-    std::uint64_t bytesServed() const { return bytesServed_; }
-    Tick busyTicks() const { return busyTicks_; }
-
-    /** Reset accounting (not the schedule). */
-    void
-    resetStats()
-    {
-        bytesServed_ = 0;
-        busyTicks_ = 0;
-    }
-
-  private:
-    Simulator &sim_;
-    double bytesPerSecond_;
-    Tick nextFree_ = 0;
-    Tick busyTicks_ = 0;
-    std::uint64_t bytesServed_ = 0;
-};
-
-/**
- * Calendar-based bandwidth resource. Unlike BandwidthResource, which
- * serializes reservations in call order, the calendar admits
- * reservations at any future time into quantized capacity buckets, so
- * many agents composing multi-hop transactions do not head-of-line
- * block each other. Used for shared interconnect links and DRAM
- * channels.
+ * Calendar-based bandwidth resource. Reservations are admitted at any
+ * future time into quantized capacity buckets rather than served in
+ * call order, so many agents composing multi-hop transactions do not
+ * head-of-line block each other. Every bandwidth-limited stage of the
+ * model uses it: interconnect links, DRAM channels, PCIe directions,
+ * NIC pipelines and application rate caps.
  */
 class CalendarResource
 {

@@ -102,7 +102,6 @@ Connection::send(std::uint32_t len, std::uint64_t user_data,
     unacked_[seq] = u;
     if (rtxDeadline_ == sim::kTickMax)
         rtxDeadline_ = u.sentAt + rto_;
-    sentSegments_++;
     ep_.stats_.dataSent++;
 
     co_await ep_.xmit(*this, kTpData | kTpAck, seq, len, user_data,
@@ -120,7 +119,6 @@ Connection::recv(Segment *out, Tick deadline)
     }
     *out = rxq_.front();
     rxq_.pop_front();
-    delivered_++;
     ep_.stats_.dataDelivered++;
 
     // Window update: reopen a closed credit window now that the

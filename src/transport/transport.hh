@@ -201,14 +201,9 @@ class Connection
 
     State state() const { return state_; }
     std::uint32_t id() const { return localId_; }
-    std::uint32_t peerAddr() const { return peerAddr_; }
     std::uint64_t flowId() const { return flowId_; }
     int queue() const { return q_; } ///< NIC queue (RSS-steered).
 
-    /** Segments accepted by send() so far. */
-    std::uint64_t sentSegments() const { return sentSegments_; }
-    /** Segments delivered by recv() so far. */
-    std::uint64_t deliveredSegments() const { return delivered_; }
     /** Unacked segments currently in flight. */
     std::uint32_t inFlight() const { return sndNext_ - sndUna_; }
 
@@ -266,9 +261,6 @@ class Connection
     std::deque<Segment> rxq_; ///< In-order, undelivered segments.
     sim::Gate rxGate_;
     bool advertisedZero_ = false; ///< Must send a window update.
-
-    std::uint64_t sentSegments_ = 0;
-    std::uint64_t delivered_ = 0;
 };
 
 /**

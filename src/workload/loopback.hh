@@ -61,18 +61,6 @@ LoopbackResult runLoopback(sim::Simulator &sim,
                            driver::NicInterface &nic,
                            const LoopbackConfig &cfg);
 
-/**
- * Sweep offered load to trace a throughput-latency curve. Rates are a
- * geometric grid up to @p max_offered_pps. Returns one result per
- * rate. Each point runs in a fresh world built by @p factory, which
- * must construct (and start) the NIC and return it.
- */
-struct SweepPoint
-{
-    double offeredMpps;
-    LoopbackResult result;
-};
-
 } // namespace ccn::workload
 
 #endif // CCN_WORKLOAD_LOOPBACK_HH
