@@ -25,10 +25,12 @@
 #ifndef CCN_MEM_COHERENCE_HH
 #define CCN_MEM_COHERENCE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -311,6 +313,15 @@ class CoherentSystem
     /** Invalidate all caches (between experiment repetitions). */
     void dropCaches();
 
+    /**
+     * Test hook: check the directory against the caches and return one
+     * message per violation (empty when they agree). Every valid L2
+     * copy must be covered by the line's owner or sharers; an E or M
+     * copy must be at the owner, with no other L2 holding the line;
+     * and llcMask / llcDirty must match each LLC's copy.
+     */
+    std::vector<std::string> auditDirectory() const;
+
     const PlatformConfig &config() const { return cfg_; }
     sim::Simulator &simulator() { return sim_; }
 
@@ -379,6 +390,33 @@ class CoherentSystem
         /** Pollers of this line; created by the first wait. */
         std::unique_ptr<sim::Gate> gate;
     };
+
+    /// @name The line directory.
+    /// Each 4 KB page maps, through a power-of-two open-addressing
+    /// index, to a table of its 64 lines' entries. The tables hold
+    /// pointers, not entries, so a page with a few live lines costs
+    /// 512 B; the entries themselves live in one deque.
+    /// @{
+    static constexpr Addr kDirPageBytes = 4096;
+    using DirPage = std::array<LineDir *, kDirPageBytes / kLineBytes>;
+
+    /** One page-index slot; empty while @p lines is null. */
+    struct PageSlot
+    {
+        Addr page = 0;
+        DirPage *lines = nullptr;
+    };
+
+    /**
+     * The directory entry of @p line, created on first use. Entries
+     * never move, so a walk may hold one across the nested lookups of
+     * its victim handling.
+     */
+    LineDir &dirOf(Addr line);
+
+    /** The line table of page number @p page, created on first use. */
+    DirPage &dirPage(Addr page);
+    /// @}
 
     /** The lines a walk covers: [addr, addr + bytes), or @p spans. */
     struct Lines
@@ -496,7 +534,11 @@ class CoherentSystem
     std::vector<bool> prefetchOn_;
     std::vector<Addr> allocNext_;
 
-    std::unordered_map<Addr, LineDir> dir_;
+    std::deque<LineDir> dir_;
+    std::deque<DirPage> dirPages_;
+    std::vector<PageSlot> pageIndex_; ///< Size a power of two.
+    Addr lastPage_ = ~Addr{0};        ///< The page dirOf() found last.
+    DirPage *lastLines_ = nullptr;    ///< Its line table.
 
     // ---- Fault-injection state (empty and unchecked until armed) ----
     /** A stuck invalidation: version held stale until the window ends. */

@@ -11,6 +11,8 @@
  *    configuration.
  *  - Coherence determinism and version monotonicity under random
  *    multi-agent access sequences.
+ *  - Directory agreement: after every conservation run and random
+ *    access sequence, the coherence directory matches the caches.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <functional>
 #include <iostream>
 #include <set>
+#include <string>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -37,6 +40,18 @@ runBody(std::function<sim::Coro<void>()> body, bool &done)
 {
     co_await body();
     done = true;
+}
+
+/** The directory agrees with every cache (first violations shown). */
+void
+expectDirectoryAgrees(const mem::CoherentSystem &system)
+{
+    const std::vector<std::string> violations = system.auditDirectory();
+    std::string first;
+    for (std::size_t i = 0; i < violations.size() && i < 5; ++i)
+        first += "\n  " + violations[i];
+    EXPECT_TRUE(violations.empty())
+        << violations.size() << " directory violations:" << first;
 }
 
 // ---------------------------------------------------------------------
@@ -165,6 +180,7 @@ TEST_P(CcNicConservation, EveryPacketDeliveredExactlyOnceInOrder)
                   static_cast<std::uint64_t>(i));
     }
     EXPECT_EQ(nic.auditLeaks(), 0u);
+    expectDirectoryAgrees(system);
 }
 
 std::vector<CcNicParam>
@@ -424,6 +440,7 @@ TEST_P(CoherenceRandom, DeterministicAndMonotonic)
         simv.spawn(runBody(body, done));
         simv.run();
         EXPECT_TRUE(done);
+        expectDirectoryAgrees(m);
         versions->push_back(m.lineVersion(base));
         versions->push_back(
             static_cast<std::uint32_t>(simv.now() & 0xffffffffu));
