@@ -58,6 +58,13 @@ built-in invariants plus (optionally) a checked-in baseline:
     line count of a prefix (accidental false sharing creeping into a
     region that should stay quiet).
 
+ 7. Report checks (REPORT_CHECKS, keyed by the report's "bench"
+    name): declarative assertions on the report's own table sections,
+    e.g. that fig16's CC-NIC publish batch of 4 beats no batching, or
+    that the PIO small-message summary says PIO wins. They apply to
+    every gate run over a report of that bench, with or without a
+    baseline.
+
 The rate check (3) looks for the time-series section whose name
 derives from the counter section's ("counters*" -> "timeseries*").
 
@@ -567,11 +574,105 @@ def write_baseline(c: dict, kinds: dict, out_path: str,
     print(f"baseline written to {out_path}")
 
 
+# Declarative checks on a report's table sections, by the report's
+# "bench" name. Rows are picked by column values compared as strings
+# (a sweep's batch column mixes "off" and numbers). Kinds:
+#   {"sections": [...]}: each section is present;
+#   {"section", "row", "than", "higher", "lower"}: the row matching
+#       "row" is higher in every "higher" column and lower in every
+#       "lower" column than the row matching "than";
+#   {"section", "key", "value", "equal": {k: v}}: the row whose "key"
+#       column is k holds v in its "value" column;
+#   {"section", "column", "includes": [...]}: some row holds each value.
+REPORT_CHECKS = {
+    # Fig 16c: publishing CC-NIC descriptors in batches of 4 beats
+    # publishing each one, in rate and in publish-to-observe time.
+    "fig16_batching": [
+        {"section": "publish_batch_sweep",
+         "row": {"family": "CC-NIC", "batch": "4"},
+         "than": {"family": "CC-NIC", "batch": "off"},
+         "higher": ["mpps"], "lower": ["pub_obs_mean_ns"]},
+    ],
+    # PIO's small-message sweep: PIO beats both ring paths, and the
+    # latency section covers both PIO paths.
+    "pio_smallmsg": [
+        {"sections": ["latency_by_size", "summary", "counters",
+                      "latency", "timeseries"]},
+        {"section": "summary", "key": "metric", "value": "value",
+         "equal": {"PIO beats ring-over-coherence": "yes",
+                   "PIO beats ring-over-PCIe": "yes"}},
+        {"section": "latency", "column": "path",
+         "includes": ["pio", "pio_cxl"]},
+    ],
+}
+
+
+def _matching_row(rows: list, want: dict):
+    """The first row whose columns equal want's values, or None."""
+    for r in rows:
+        if all(str(r.get(k)) == str(v) for k, v in want.items()):
+            return r
+    return None
+
+
+def check_report(bench: str, sections: dict, failures: list) -> None:
+    """Apply REPORT_CHECKS[bench] to a report's sections."""
+    for chk in REPORT_CHECKS.get(bench, []):
+        if "sections" in chk:
+            missing = [n for n in chk["sections"] if n not in sections]
+            if missing:
+                failures.append(f"{bench}: missing sections {missing}")
+            continue
+        name = chk["section"]
+        if name not in sections:
+            failures.append(f"{bench}: missing section '{name}'")
+            continue
+        rows = sections[name]["rows"]
+        if "row" in chk:
+            row = _matching_row(rows, chk["row"])
+            than = _matching_row(rows, chk["than"])
+            if row is None or than is None:
+                failures.append(f"{bench}.{name}: no row for "
+                                f"{chk['row']} or {chk['than']}")
+                continue
+            for col, sign in ([(c, 1) for c in chk.get("higher", [])] +
+                              [(c, -1) for c in chk.get("lower", [])]):
+                a, b = float(row[col]), float(than[col])
+                ok = (a - b) * sign > 0
+                print(f"{bench}.{name} {col}: {chk['row']} {a:g} vs "
+                      f"{chk['than']} {b:g} -> "
+                      f"{'ok' if ok else 'FAILED'}")
+                if not ok:
+                    failures.append(
+                        f"{bench}.{name}: {col} of {chk['row']} ({a:g}) "
+                        f"is not {'above' if sign > 0 else 'below'} "
+                        f"that of {chk['than']} ({b:g})")
+        elif "equal" in chk:
+            got = {str(r[chk["key"]]): r[chk["value"]] for r in rows}
+            for k, v in chk["equal"].items():
+                if str(got.get(k)) != str(v):
+                    failures.append(f"{bench}.{name}: '{k}' is "
+                                    f"{got.get(k)!r}, expected {v!r}")
+                else:
+                    print(f"{bench}.{name}: '{k}' = {v!r} -> ok")
+        else:
+            have = {str(r.get(chk["column"])) for r in rows}
+            missing = [v for v in chk["includes"] if str(v) not in have]
+            if missing:
+                failures.append(f"{bench}.{name}: no row with "
+                                f"{chk['column']} in {missing}")
+            else:
+                print(f"{bench}.{name}: {chk['column']} covers "
+                      f"{chk['includes']} -> ok")
+
+
 def run_gate(report: str, baseline_path: str,
              max_reads_per_pkt: float, tolerance: float,
              section: str = DEFAULT_SECTION,
              lossy: bool = False) -> int:
-    sections = load_sections(report)
+    with open(report, encoding="utf-8") as f:
+        doc = json.load(f)
+    sections = doc["sections"]
     c, kinds = counters_of(sections, section, report)
     baseline = None
     if baseline_path:
@@ -581,6 +682,7 @@ def run_gate(report: str, baseline_path: str,
     failures = []
     check_invariants(c, max_reads_per_pkt, failures, lossy)
     check_timeseries(sections, section, failures, lossy)
+    check_report(doc.get("bench", ""), sections, failures)
     if baseline is not None:
         check_baseline(c, kinds, baseline, tolerance, failures)
         if "coherence" in baseline:
@@ -1019,6 +1121,61 @@ def selftest() -> int:
                   "record escalation absolutes: "
                   f"{ewritten.get('absolute')!r}", file=sys.stderr)
             return 1
+
+        # Report checks: fig16's publish-batch win and the PIO
+        # summary each pass on a clean report and fail when the
+        # claim they check is false.
+        def fig16_report(b4_mpps: float) -> dict:
+            doc = _synthetic_report(signal_reads=670000)
+            doc["bench"] = "fig16_batching"
+            doc["sections"]["publish_batch_sweep"] = {
+                "columns": ["family", "batch", "mpps",
+                            "pub_obs_mean_ns"],
+                "rows": [
+                    {"family": "E810", "batch": 4, "mpps": 99.0,
+                     "pub_obs_mean_ns": 10.0},
+                    {"family": "CC-NIC", "batch": "off", "mpps": 50.0,
+                     "pub_obs_mean_ns": 140.0},
+                    {"family": "CC-NIC", "batch": 4,
+                     "mpps": b4_mpps, "pub_obs_mean_ns": 100.0},
+                ],
+            }
+            return doc
+
+        def pio_summary_report(pcie_verdict: str) -> dict:
+            doc = _synthetic_report(signal_reads=670000)
+            doc["bench"] = "pio_smallmsg"
+            secs = doc["sections"]
+            secs["latency_by_size"] = {"columns": [], "rows": []}
+            secs["counters"] = secs["counters_lossfree"]
+            secs["timeseries"] = secs["timeseries_lossfree"]
+            secs["latency"] = {
+                "columns": ["path"],
+                "rows": [{"path": "pio"}, {"path": "pio_cxl"},
+                         {"path": "ccnic"}]}
+            secs["summary"] = {
+                "columns": ["metric", "value"],
+                "rows": [
+                    {"metric": "PIO beats ring-over-coherence",
+                     "value": "yes"},
+                    {"metric": "PIO beats ring-over-PCIe",
+                     "value": pcie_verdict}]}
+            return doc
+
+        for label, doc, want in (
+                ("fig16 publish-batch win", fig16_report(78.0), 0),
+                ("fig16 batch 4 slower than off", fig16_report(40.0), 1),
+                ("PIO summary", pio_summary_report("yes"), 0),
+                ("PIO losing to PCIe", pio_summary_report("no"), 1)):
+            rpath = os.path.join(td, "report_check.json")
+            with open(rpath, "w", encoding="utf-8") as f:
+                json.dump(doc, f)
+            got = run_gate(rpath, None, DEFAULT_MAX_SIGNAL_READS_PER_PKT,
+                           DEFAULT_TOLERANCE)
+            if got != want:
+                print(f"SELFTEST FAIL: {label}: gate returned {got}, "
+                      f"expected {want}", file=sys.stderr)
+                return 1
 
     print("counters gate selftest passed")
     return 0
