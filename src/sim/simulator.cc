@@ -1,5 +1,7 @@
 #include "sim/simulator.hh"
 
+#include <utility>
+
 namespace ccn::sim {
 
 Simulator::~Simulator()
@@ -9,6 +11,21 @@ Simulator::~Simulator()
         if (h)
             h.destroy();
     }
+}
+
+void
+Simulator::scheduleCallback(Tick when, std::function<void()> fn)
+{
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(callbacks_.size());
+        callbacks_.push_back(std::move(fn));
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        callbacks_[slot] = std::move(fn);
+    }
+    events_.push(Event{when, nextSeq_++, nullptr, slot});
 }
 
 void
@@ -49,15 +66,21 @@ Simulator::run(Tick limit)
         }
         // Copy out before pop: executing the event may push new events
         // and invalidate the reference.
-        Event ev = top;
+        const Event ev = top;
         events_.pop();
         now_ = ev.when;
         ++eventsExecuted_;
         if (ev.handle) {
             if (!ev.handle.done())
                 ev.handle.resume();
-        } else if (ev.callback) {
-            ev.callback();
+        } else {
+            // Take the function and free its slot before the call: the
+            // callback may schedule others, which can reuse the slot or
+            // grow the table.
+            auto fn = std::exchange(callbacks_[ev.slot], nullptr);
+            freeSlots_.push_back(ev.slot);
+            if (fn)
+                fn();
         }
     }
     return now_;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "sim/task.hh"
@@ -48,15 +49,11 @@ class Simulator
     void
     scheduleResume(Tick when, std::coroutine_handle<> h)
     {
-        events_.push(Event{when, nextSeq_++, h, nullptr});
+        events_.push(Event{when, nextSeq_++, h, 0});
     }
 
     /** Schedule a plain callback at absolute time @p when. */
-    void
-    scheduleCallback(Tick when, std::function<void()> fn)
-    {
-        events_.push(Event{when, nextSeq_++, nullptr, std::move(fn)});
-    }
+    void scheduleCallback(Tick when, std::function<void()> fn);
 
     /**
      * Run until the event queue is exhausted or simulated time would
@@ -119,12 +116,17 @@ class Simulator
     std::uint64_t eventsExecuted() const { return eventsExecuted_; }
 
   private:
+    /**
+     * One queued event, 32 bytes and trivially copyable, so that heap
+     * sifts and pops copy plain words. A callback event has a null
+     * handle and names the slot of callbacks_ holding its function.
+     */
     struct Event
     {
         Tick when;
         std::uint64_t seq; // FIFO tiebreak for same-tick events.
         std::coroutine_handle<> handle;
-        std::function<void()> callback;
+        std::uint32_t slot;
 
         bool
         operator>(const Event &other) const
@@ -134,6 +136,7 @@ class Simulator
             return seq > other.seq;
         }
     };
+    static_assert(std::is_trivially_copyable_v<Event>);
 
     void reapFinishedTasks();
 
@@ -142,6 +145,10 @@ class Simulator
     std::uint64_t eventsExecuted_ = 0;
     bool stopRequested_ = false;
     std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
+    // Functions of pending callbacks, each moved in once and moved out
+    // once to run; freed slots are reused last-freed first.
+    std::vector<std::function<void()>> callbacks_;
+    std::vector<std::uint32_t> freeSlots_;
     std::vector<Task::Handle> tasks_;
 };
 
