@@ -616,6 +616,15 @@ TEST_P(MemChaosFamily, ZeroLossUnderMemoryChaos)
     EXPECT_EQ(r.kv.connAborts, 0u) << family;
     EXPECT_EQ(r.leakedBufs, 0u) << family;
     EXPECT_TRUE(r.ringsLive) << family;
+
+    // The faults bent timing and visibility, never the line directory:
+    // it still agrees with every cache on both hosts.
+    for (const auto *host : {server.get(), client.get()}) {
+        const auto violations = host->system.auditDirectory();
+        EXPECT_TRUE(violations.empty())
+            << family << ": " << violations.size()
+            << " directory violations, first: " << violations.front();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, MemChaosFamily,
