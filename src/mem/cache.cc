@@ -17,17 +17,16 @@ floorPow2(std::uint32_t v)
 
 } // namespace
 
-SetAssocCache::SetAssocCache(std::uint32_t total_lines, std::uint32_t ways)
+SetAssocTags::SetAssocTags(std::uint32_t total_lines, std::uint32_t ways)
     : numSets_(floorPow2(std::max<std::uint32_t>(1, total_lines / ways))),
       ways_(ways),
       tags_(static_cast<std::size_t>(numSets_) * ways_, kNoLine),
-      stamps_(tags_.size()),
-      entries_(tags_.size())
+      stamps_(tags_.size())
 {
 }
 
 std::size_t
-SetAssocCache::setBase(Addr line) const
+SetAssocTags::setBase(Addr line) const
 {
     // Hash the line number over the sets. Using the raw line index
     // modulo sets preserves the real stride-conflict behaviour that the
@@ -38,7 +37,7 @@ SetAssocCache::setBase(Addr line) const
 }
 
 std::size_t
-SetAssocCache::wayOf(Addr line) const
+SetAssocTags::find(Addr line) const
 {
     const std::size_t base = setBase(line);
     for (std::size_t w = base; w < base + ways_; ++w) {
@@ -48,37 +47,19 @@ SetAssocCache::wayOf(Addr line) const
     return kNoWay;
 }
 
-CacheEntry *
-SetAssocCache::find(Addr line)
+std::size_t
+SetAssocTags::touch(Addr line)
 {
-    const std::size_t w = wayOf(line);
-    return w == kNoWay ? nullptr : &entries_[w];
+    const std::size_t w = find(line);
+    if (w != kNoWay)
+        stamps_[w] = ++stamp_;
+    return w;
 }
 
-const CacheEntry *
-SetAssocCache::find(Addr line) const
+std::size_t
+SetAssocTags::insert(Addr line, Addr *evicted)
 {
-    return const_cast<SetAssocCache *>(this)->find(line);
-}
-
-CacheEntry *
-SetAssocCache::touch(Addr line)
-{
-    const std::size_t w = wayOf(line);
-    if (w == kNoWay)
-        return nullptr;
-    stamps_[w] = ++stamp_;
-    return &entries_[w];
-}
-
-CacheEntry *
-SetAssocCache::insert(Addr line, LineState state, bool dirty,
-                      Eviction *evicted)
-{
-    assert(find(line) == nullptr && "line already present");
-    assert(state != LineState::Invalid);
-    if (evicted)
-        evicted->valid = false;
+    assert(find(line) == kNoWay && "line already present");
 
     // The first invalid way, else the least recently used one.
     const std::size_t base = setBase(line);
@@ -91,24 +72,19 @@ SetAssocCache::insert(Addr line, LineState state, bool dirty,
             if (stamps_[w] < stamps_[v])
                 v = w;
         }
-        if (evicted) {
-            evicted->valid = true;
-            evicted->line = tags_[v];
-            evicted->state = entries_[v].state;
-            evicted->dirty = entries_[v].dirty;
-        }
     }
 
+    if (evicted)
+        *evicted = tags_[v];
     tags_[v] = line;
     stamps_[v] = ++stamp_;
-    entries_[v] = CacheEntry{state, dirty, false, 0};
-    return &entries_[v];
+    return v;
 }
 
 bool
-SetAssocCache::erase(Addr line)
+SetAssocTags::erase(Addr line)
 {
-    const std::size_t w = wayOf(line);
+    const std::size_t w = find(line);
     if (w == kNoWay)
         return false;
     tags_[w] = kNoLine;
@@ -116,9 +92,49 @@ SetAssocCache::erase(Addr line)
 }
 
 void
-SetAssocCache::clear()
+SetAssocTags::clear()
 {
     std::fill(tags_.begin(), tags_.end(), kNoLine);
+}
+
+SetAssocCache::SetAssocCache(std::uint32_t total_lines, std::uint32_t ways)
+    : tags_(total_lines, ways), entries_(tags_.size())
+{
+}
+
+CacheEntry *
+SetAssocCache::find(Addr line)
+{
+    return entry(tags_.find(line));
+}
+
+const CacheEntry *
+SetAssocCache::find(Addr line) const
+{
+    return const_cast<SetAssocCache *>(this)->find(line);
+}
+
+CacheEntry *
+SetAssocCache::touch(Addr line)
+{
+    return entry(tags_.touch(line));
+}
+
+CacheEntry *
+SetAssocCache::insert(Addr line, LineState state, bool dirty,
+                      Eviction *evicted)
+{
+    assert(state != LineState::Invalid);
+    Addr victim = SetAssocTags::kNoLine;
+    const std::size_t v = tags_.insert(line, &victim);
+    CacheEntry &e = entries_[v];
+    if (evicted) {
+        *evicted = victim == SetAssocTags::kNoLine
+                       ? Eviction{}
+                       : Eviction{true, victim, e.state, e.dirty};
+    }
+    e = CacheEntry{0, state, dirty, false};
+    return &e;
 }
 
 } // namespace ccn::mem

@@ -199,27 +199,28 @@ CoherentSystem::dramAccess(int socket, std::uint32_t bytes, Tick t)
 void
 CoherentSystem::insertLlc(int socket, Addr line, bool dirty)
 {
-    if (CacheEntry *le = llc_[socket].touch(line)) {
-        le->dirty |= dirty;
+    const std::uint8_t bit = std::uint8_t(1) << socket;
+    if (llc_[socket].touch(line) != SetAssocTags::kNoWay) {
         if (dirty)
-            dirOf(line).llcDirty |= std::uint8_t(1) << socket;
+            dirOf(line).llcDirty |= bit;
         return;
     }
-    Eviction ev;
-    llc_[socket].insert(line, LineState::Shared, dirty, &ev);
+    Addr victim = SetAssocTags::kNoLine;
+    llc_[socket].insert(line, &victim);
     LineDir &d = dirOf(line);
-    d.llcMask |= std::uint8_t(1) << socket;
+    d.llcMask |= bit;
     if (dirty)
-        d.llcDirty |= std::uint8_t(1) << socket;
+        d.llcDirty |= bit;
 
-    if (ev.valid) {
-        LineDir &vd = dirOf(ev.line);
-        vd.llcMask &= ~(std::uint8_t(1) << socket);
-        vd.llcDirty &= ~(std::uint8_t(1) << socket);
-        if (ev.dirty) {
+    if (victim != SetAssocTags::kNoLine) {
+        LineDir &vd = dirOf(victim);
+        const bool victim_dirty = vd.llcDirty & bit;
+        vd.llcMask &= ~bit;
+        vd.llcDirty &= ~bit;
+        if (victim_dirty) {
             // Dirty victim writes back to its home memory; bandwidth
             // cost only, off any requester's critical path.
-            const int h = homeSocket(ev.line);
+            const int h = homeSocket(victim);
             Tick t = sim_.now();
             if (h != socket)
                 t = linkXfer(h, cfg_.dataMsgBytes, t);
@@ -256,6 +257,7 @@ void
 CoherentSystem::installL2(AgentId a, Addr line, LineState state,
                           bool dirty, Tick ready_at)
 {
+    assert(ready_at >> 60 == 0 && "fill time beyond CacheEntry::readyAt");
     Eviction ev;
     CacheEntry *e = l2_[a].insert(line, state, dirty, &ev);
     e->readyAt = ready_at;
@@ -1164,15 +1166,13 @@ CoherentSystem::auditDirectory() const
     for (int k = 0; k < cfg_.sockets; ++k) {
         const std::uint8_t bit = std::uint8_t(1) << k;
         const std::string at = "LLC " + std::to_string(k);
-        llc_[k].forEachValid([&](Addr line, const CacheEntry &e) {
-            const LineDir &d = entry(line);
-            if (!(d.llcMask & bit))
+        llc_[k].forEachValid([&](Addr line, std::size_t) {
+            if (!(entry(line).llcMask & bit))
                 report(line, at + " holds the line; llcMask says not");
-            if (e.dirty != bool(d.llcDirty & bit))
-                report(line, at + " dirty bit disagrees with llcDirty");
         });
         for (const auto &[line, d] : dir) {
-            if (((d->llcMask | d->llcDirty) & bit) && !llc_[k].find(line))
+            if (((d->llcMask | d->llcDirty) & bit) &&
+                llc_[k].find(line) == SetAssocTags::kNoWay)
                 report(line, "llcMask or llcDirty names " + at +
                                  ", which does not hold the line");
         }

@@ -318,7 +318,8 @@ class CoherentSystem
      * message per violation (empty when they agree). Every valid L2
      * copy must be covered by the line's owner or sharers; an E or M
      * copy must be at the owner, with no other L2 holding the line;
-     * and llcMask / llcDirty must match each LLC's copy.
+     * every LLC copy must be in llcMask, and llcMask / llcDirty may
+     * name only an LLC that holds the line.
      */
     std::vector<std::string> auditDirectory() const;
 
@@ -361,8 +362,8 @@ class CoherentSystem
         std::int16_t owner = -1;      ///< L2 (agent) holding E/M.
         std::int16_t lastWriter = -1; ///< Most recent writing agent.
         SharerSet sharers;       ///< L2s holding S copies (may be stale).
-        std::uint8_t llcMask = 0;
-        std::uint8_t llcDirty = 0;
+        std::uint8_t llcMask = 0;  ///< LLCs (sockets) holding a copy.
+        std::uint8_t llcDirty = 0; ///< The dirty ones: the only record.
         /**
          * Adaptive migratory-sharing detection (the HitME-style
          * optimization of real UPI home agents): when a line exhibits
@@ -527,7 +528,9 @@ class CoherentSystem
 
     std::vector<Agent> agents_;
     std::vector<SetAssocCache> l2_;  // Indexed by agent.
-    std::vector<SetAssocCache> llc_; // Indexed by socket.
+    // Indexed by socket. Tags only: an LLC copy's state is always
+    // Shared, and its dirtiness is the line's llcDirty bit.
+    std::vector<SetAssocTags> llc_;
     // upiInto_[s]: link direction carrying traffic into socket s.
     std::vector<sim::CalendarResource> upiInto_;
     std::vector<sim::CalendarResource> dram_;
