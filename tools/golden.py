@@ -20,8 +20,10 @@ baselines and EXPERIMENTS.md rows come from, and writes it into DIR:
   its test name, in `ccnic_conservation.digests`.
 
 Up to N jobs (default 1) run at once; each writes only its own files,
-so the result does not depend on N. Wall time and stderr are not kept.
-`run` exits 1 if any job fails.
+so the result does not depend on N. Each job's progress line gives its
+wall time and peak resident memory (`ru_maxrss`, in MB of 2^20
+bytes); neither is written to DIR, nor is stderr. `run` exits 1 if any
+job fails.
 
 `diff` names every file that differs between two such directories or
 is in only one of them, and exits 1 if there is any. A simulator
@@ -105,18 +107,24 @@ def jobs(root: Path, build: Path, out: Path):
 
 
 def run_job(root, name, argv, json_dir, save):
-    """Run one job from @root; returns (name, seconds, error)."""
+    """Run one job from @root; returns (name, seconds, peak RSS in MB,
+    error). The child is reaped with wait4, whose rusage is its own."""
     start = time.monotonic()
     with tempfile.TemporaryDirectory() as tmp:
         env = dict(os.environ, CCN_JSON_DIR=str(json_dir or tmp))
-        proc = subprocess.run([str(a) for a in argv], cwd=root, env=env,
-                              stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL)
+        proc = subprocess.Popen([str(a) for a in argv], cwd=root, env=env,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+        with proc.stdout:
+            stdout = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
     seconds = time.monotonic() - start
+    rss_mb = usage.ru_maxrss / 1024  # Linux reports kilobytes.
     if proc.returncode != 0:
-        return name, seconds, f"exit status {proc.returncode}"
-    save(proc.stdout)
-    return name, seconds, None
+        return name, seconds, rss_mb, f"exit status {proc.returncode}"
+    save(stdout)
+    return name, seconds, rss_mb, None
 
 
 def write_digests(text, path):
@@ -139,8 +147,9 @@ def golden(root: Path, build: Path, out: Path, n_jobs: int) -> bool:
         futures = [pool.submit(run_job, root, *j)
                    for j in jobs(root, build, out)]
         for f in concurrent.futures.as_completed(futures):
-            name, seconds, error = f.result()
-            print(f"{name}: {error or 'ok'} ({seconds:.1f} s)", flush=True)
+            name, seconds, rss_mb, error = f.result()
+            print(f"{name}: {error or 'ok'} ({seconds:.1f} s, "
+                  f"{rss_mb:.0f} MB)", flush=True)
             if error:
                 failed.append(name)
     print(f"golden: {len(futures)} jobs in "
