@@ -5,7 +5,8 @@
  *
  *  - Packet conservation: every transmitted packet is received exactly
  *    once, in order, for every combination of descriptor layout,
- *    signaling mode, buffer-management mode, and platform.
+ *    signaling mode, buffer-management mode, and platform, and for
+ *    every PIO preset, publish-batching mode and frame size.
  *  - Mempool invariants: no double allocation, full conservation of
  *    buffers across random alloc/free sequences, for every pool
  *    configuration.
@@ -29,6 +30,7 @@
 #include "driver/mempool.hh"
 #include "driver/ring.hh"
 #include "mem/platform.hh"
+#include "pio/pio.hh"
 
 namespace {
 
@@ -52,6 +54,125 @@ expectDirectoryAgrees(const mem::CoherentSystem &system)
         first += "\n  " + violations[i];
     EXPECT_TRUE(violations.empty())
         << violations.size() << " directory violations:" << first;
+}
+
+// ---------------------------------------------------------------------
+// Packet conservation, shared by every family's sweep.
+// ---------------------------------------------------------------------
+
+/** The traffic of one conservation run. */
+struct Traffic
+{
+    bool oddTx = false; ///< TX bursts cycle 1..7 instead of 8.
+    int rxBurst = 8;
+    int packets = 200;
+    std::uint32_t bytes = 64; ///< Frame length.
+};
+
+/** What one conservation run saw. */
+struct Delivery
+{
+    std::vector<std::uint64_t> received; ///< userData in arrival order.
+    sim::Tick lastReap = 0;
+    bool done = false; ///< Every packet arrived and the NIC was reset.
+};
+
+/**
+ * Loop @p t's packets through queue 0 of the started @p nic, reaping
+ * as it sends, then quiesce and reset it so the rings or slot arrays
+ * give back every buffer they still hold.
+ */
+Delivery
+runConservation(sim::Simulator &simv, mem::CoherentSystem &system,
+                driver::NicInterface &nic, const Traffic &t)
+{
+    Delivery out;
+    auto body = [&]() -> sim::Coro<void> {
+        const mem::AgentId agent = nic.hostAgent(0);
+        std::uint64_t next_send = 0;
+        int round = 0;
+        PacketBuf *tx[8];
+        PacketBuf *rx[8];
+        while (static_cast<int>(out.received.size()) < t.packets) {
+            // Send in small bursts while packets remain.
+            if (next_send < static_cast<std::uint64_t>(t.packets)) {
+                const int burst = t.oddTx ? 1 + round++ % 7 : 8;
+                const int want = static_cast<int>(std::min<std::uint64_t>(
+                    burst,
+                    static_cast<std::uint64_t>(t.packets) - next_send));
+                int got = co_await nic.allocBufs(0, t.bytes, tx, want);
+                if (got > 0) {
+                    std::vector<mem::CoherentSystem::Span> spans;
+                    for (int i = 0; i < got; ++i)
+                        spans.push_back({tx[i]->addr, t.bytes});
+                    co_await system.postMulti(agent, spans, nullptr);
+                    for (int i = 0; i < got; ++i) {
+                        tx[i]->len = t.bytes;
+                        tx[i]->txTime = simv.now();
+                        tx[i]->userData = next_send + i;
+                    }
+                    int sent = co_await nic.txBurst(0, tx, got);
+                    next_send += static_cast<std::uint64_t>(sent);
+                    if (sent < got)
+                        co_await nic.freeBufs(0, tx + sent, got - sent);
+                }
+            }
+            int nr = co_await nic.rxBurst(0, rx, t.rxBurst);
+            for (int i = 0; i < nr; ++i)
+                out.received.push_back(rx[i]->userData);
+            if (nr > 0) {
+                out.lastReap = simv.now();
+                co_await nic.freeBufs(0, rx, nr);
+            }
+            if (nr == 0 &&
+                next_send >= static_cast<std::uint64_t>(t.packets)) {
+                co_await nic.idleWait(0,
+                                      simv.now() + sim::fromUs(20.0));
+            }
+        }
+        // Every buffer is back with the host: a reset must find the
+        // rest of them in the rings.
+        co_await nic.quiesce();
+        co_await nic.reset();
+        co_return;
+    };
+    simv.spawn(runBody(body, out.done));
+    simv.run(sim::fromUs(30000.0));
+    return out;
+}
+
+/** Cross-socket line transfers of the run, for its digest. */
+std::string
+remoteDigest(const mem::CoherentSystem &system)
+{
+    std::uint64_t remote_reads = 0;
+    std::uint64_t remote_rfos = 0;
+    for (mem::AgentId a = 0; a < system.numAgents(); ++a) {
+        remote_reads += system.counters(a).remoteReads;
+        remote_rfos += system.counters(a).remoteRfos;
+    }
+    return " remote_reads=" + std::to_string(remote_reads) +
+           " remote_rfos=" + std::to_string(remote_rfos);
+}
+
+/**
+ * Every packet arrived exactly once and in order (one queue keeps
+ * FIFO), the reset left no buffer behind, and the directory agrees
+ * with the caches.
+ */
+void
+expectConserved(const Delivery &d, int packets, driver::NicInterface &nic,
+                const mem::CoherentSystem &system)
+{
+    ASSERT_TRUE(d.done) << "loopback delivered " << d.received.size()
+                        << " of " << packets << " packets";
+    ASSERT_EQ(d.received.size(), static_cast<std::size_t>(packets));
+    for (int i = 0; i < packets; ++i) {
+        EXPECT_EQ(d.received[static_cast<std::size_t>(i)],
+                  static_cast<std::uint64_t>(i));
+    }
+    EXPECT_EQ(nic.auditLeaks(), 0u);
+    expectDirectoryAgrees(system);
 }
 
 // ---------------------------------------------------------------------
@@ -103,84 +224,15 @@ TEST_P(CcNicConservation, EveryPacketDeliveredExactlyOnceInOrder)
     ccnic::CcNic nic(simv, system, cfg, 0, 1, rng);
     nic.start();
 
-    const int packets = p.packets;
-    std::vector<std::uint64_t> received;
-    sim::Tick last_reap = 0;
-    bool done = false;
-
-    auto body = [&]() -> sim::Coro<void> {
-        const mem::AgentId agent = nic.hostAgent(0);
-        std::uint64_t next_send = 0;
-        int round = 0;
-        PacketBuf *tx[8];
-        PacketBuf *rx[8];
-        while (static_cast<int>(received.size()) < packets) {
-            // Send in small bursts while packets remain.
-            if (next_send < static_cast<std::uint64_t>(packets)) {
-                const int burst = p.oddTx ? 1 + round++ % 7 : 8;
-                const int want = static_cast<int>(std::min<std::uint64_t>(
-                    burst, static_cast<std::uint64_t>(packets) - next_send));
-                int got = co_await nic.allocBufs(0, 64, tx, want);
-                if (got > 0) {
-                    std::vector<mem::CoherentSystem::Span> spans;
-                    for (int i = 0; i < got; ++i)
-                        spans.push_back({tx[i]->addr, 64});
-                    co_await system.postMulti(agent, spans, nullptr);
-                    for (int i = 0; i < got; ++i) {
-                        tx[i]->len = 64;
-                        tx[i]->txTime = simv.now();
-                        tx[i]->userData = next_send + i;
-                    }
-                    int sent = co_await nic.txBurst(0, tx, got);
-                    next_send += static_cast<std::uint64_t>(sent);
-                    if (sent < got)
-                        co_await nic.freeBufs(0, tx + sent, got - sent);
-                }
-            }
-            int nr = co_await nic.rxBurst(0, rx, p.rxBurst);
-            for (int i = 0; i < nr; ++i)
-                received.push_back(rx[i]->userData);
-            if (nr > 0) {
-                last_reap = simv.now();
-                co_await nic.freeBufs(0, rx, nr);
-            }
-            if (nr == 0 && next_send >= static_cast<std::uint64_t>(packets)) {
-                co_await nic.idleWait(0,
-                                      simv.now() + sim::fromUs(20.0));
-            }
-        }
-        // Every buffer is back with the host: a reset must find the
-        // rest of them in the rings.
-        co_await nic.quiesce();
-        co_await nic.reset();
-        co_return;
-    };
-    simv.spawn(runBody(body, done));
-    simv.run(sim::fromUs(30000.0));
+    const Delivery d = runConservation(
+        simv, system, nic, {p.oddTx, p.rxBurst, p.packets});
 
     // Run digest: equal digests mean an identical modeled run.
-    std::uint64_t remote_reads = 0;
-    std::uint64_t remote_rfos = 0;
-    for (mem::AgentId a = 0; a < system.numAgents(); ++a) {
-        remote_reads += system.counters(a).remoteReads;
-        remote_rfos += system.counters(a).remoteRfos;
-    }
-    std::cout << "digest last_reap=" << last_reap
+    std::cout << "digest last_reap=" << d.lastReap
               << " signal_reads=" << nic.signalReads()
               << " signal_writes=" << nic.signalWrites()
-              << " remote_reads=" << remote_reads
-              << " remote_rfos=" << remote_rfos << "\n";
-
-    ASSERT_TRUE(done) << "loopback delivered " << received.size()
-                      << " of " << packets << " packets";
-    ASSERT_EQ(received.size(), static_cast<std::size_t>(packets));
-    // Exactly once, and in order (single queue preserves FIFO).
-    for (int i = 0; i < packets; ++i) {
-        EXPECT_EQ(received[static_cast<std::size_t>(i)],
-                  static_cast<std::uint64_t>(i));
-    }
-    EXPECT_EQ(nic.auditLeaks(), 0u);
-    expectDirectoryAgrees(system);
+              << remoteDigest(system) << "\n";
+    expectConserved(d, p.packets, nic, system);
 }
 
 std::vector<CcNicParam>
@@ -270,6 +322,121 @@ INSTANTIATE_TEST_SUITE_P(
         return out;
     }()),
     testName);
+
+// ---------------------------------------------------------------------
+// Packet conservation over PIO message slots.
+// ---------------------------------------------------------------------
+
+/**
+ * One PIO conservation run. The base sweep sends bursts of 8 (or odd
+ * bursts) through the default 64-slot arrays, with 64 B frames inline
+ * or 1024 B frames spilled to the pool. A slow reaper on 8 or 16 slots
+ * keeps both arrays full, so each producer laps onto slots whose
+ * credit, or its own publish, is still in flight.
+ */
+struct PioParam
+{
+    bool cxl;
+    const char *platform;
+    driver::BatchMode batch = driver::BatchMode::Off;
+    bool oddTx = false;   ///< TX bursts cycle 1..7 instead of 8.
+    bool spilled = false; ///< 1024 B frames instead of 64 B.
+    int rxBurst = 8;
+    std::uint32_t numSlots = 64;
+    int packets = 200;
+};
+
+class PioConservation : public ::testing::TestWithParam<PioParam>
+{};
+
+TEST_P(PioConservation, EveryPacketDeliveredExactlyOnceInOrder)
+{
+    const PioParam p = GetParam();
+    const mem::PlatformConfig plat = std::string(p.platform) == "ICX"
+                                         ? mem::icxConfig()
+                                         : mem::sprConfig();
+
+    sim::Simulator simv;
+    mem::CoherentSystem system(simv, plat);
+    sim::Rng rng(41);
+    auto cfg = p.cxl ? pio::cxlConfig(1, 0, plat) : pio::upiConfig(1, 0, plat);
+    cfg.numSlots = p.numSlots;
+    cfg.batch.mode = p.batch;
+    pio::PioNic nic(simv, system, cfg, 0, 1, rng);
+    nic.start();
+
+    const Delivery d = runConservation(
+        simv, system, nic,
+        {p.oddTx, p.rxBurst, p.packets, p.spilled ? 1024u : 64u});
+
+    std::cout << "digest last_reap=" << d.lastReap
+              << " slot_polls=" << nic.slotPolls()
+              << " slot_writes=" << nic.slotWrites()
+              << " spills=" << nic.spills() << remoteDigest(system)
+              << "\n";
+    expectConserved(d, p.packets, nic, system);
+}
+
+std::string
+pioName(const PioParam &p)
+{
+    std::string name;
+    if (p.rxBurst != 8) {
+        name += "Slots" + std::to_string(p.numSlots) + "Rx" +
+                std::to_string(p.rxBurst);
+    } else {
+        name += p.batch == driver::BatchMode::Off     ? "BatchOff"
+                : p.batch == driver::BatchMode::Fixed ? "Batch4"
+                                                      : "BatchAdaptive";
+        name += p.oddTx ? "OddTx" : "Tx8";
+    }
+    name += p.cxl ? "Cxl" : "Upi";
+    name += p.spilled ? "Spilled" : "Inline";
+    name += p.platform;
+    return name;
+}
+
+void
+PrintTo(const PioParam &p, std::ostream *os)
+{
+    *os << pioName(p);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigs, PioConservation,
+    ::testing::ValuesIn([] {
+        std::vector<PioParam> out;
+        for (bool cxl : {false, true})
+            for (const char *plat : {"ICX", "SPR"})
+                for (auto mode :
+                     {driver::BatchMode::Off, driver::BatchMode::Fixed,
+                      driver::BatchMode::Adaptive})
+                    for (bool odd_tx : {false, true})
+                        for (bool spilled : {false, true})
+                            out.push_back(
+                                {cxl, plat, mode, odd_tx, spilled});
+        return out;
+    }()),
+    [](const ::testing::TestParamInfo<PioParam> &info) {
+        return pioName(info.param);
+    });
+
+// Odd TX bursts behind a slow reaper on small slot arrays, so both
+// producers lap the array many times.
+INSTANTIATE_TEST_SUITE_P(
+    SlowReaper, PioConservation,
+    ::testing::ValuesIn([] {
+        std::vector<PioParam> out;
+        for (std::uint32_t slots : {8u, 16u})
+            for (int rx : {1, 2})
+                for (bool spilled : {false, true})
+                    out.push_back({false, "ICX", driver::BatchMode::Off,
+                                   true, spilled, rx, slots, 400});
+        return out;
+    }()),
+    [](const ::testing::TestParamInfo<PioParam> &info) {
+        return pioName(info.param);
+    });
 
 // ---------------------------------------------------------------------
 // Mempool invariants across the pool configuration space.
