@@ -13,6 +13,11 @@ using sim::Tick;
 
 namespace {
 
+/// NIC-side processing burst: descriptors one TX gather takes and
+/// arrivals one RX batch places. A multiple of the 4-slot group, so
+/// clears land on line boundaries.
+constexpr int kNicBatch = 32;
+
 /** Size the pool to the queue count: ring occupancy plus recycle
  *  stacks on both sides plus generator headroom per queue. */
 void
@@ -113,10 +118,8 @@ CcNic::Queue::Queue(sim::Simulator &sim, mem::CoherentSystem &m,
       txHead(m, host_socket),
       rxTail(m, cfg.nicHomedRx ? nic_socket : host_socket),
       rxHead(m, host_socket),
-      tx(sim, m, txRing, txTail, txHead, cfg.signal, sealsLines(cfg),
-         cfg.beatPeriod),
-      rx(sim, m, rxRing, rxTail, rxHead, cfg.signal, sealsLines(cfg),
-         cfg.beatPeriod),
+      tx(sim, m, txRing, txTail, txHead, cfg.signal, sealsLines(cfg)),
+      rx(sim, m, rxRing, rxTail, rxHead, cfg.signal, sealsLines(cfg)),
       txShadow(cfg.ringEntries)
 {}
 
@@ -127,11 +130,8 @@ CcNic::CcNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
                    {.prefix = "ccnic",
                     .resetTrace = "ccnic.reset",
                     .hostCosts = config.hostCosts,
-                    .beatPeriod = config.beatPeriod,
-                    .resetLat = config.resetLat,
                     .reinitLat = mem_system.config().cycles(
                         config.nicCosts.perLoop * 8),
-                    .wireLat = config.wireLat,
                     .loopback = config.loopback,
                     .spanPath = config.spanPath}),
       cfg_(config), hostSocket_(host_socket), nicSocket_(nic_socket)
@@ -140,8 +140,6 @@ CcNic::CcNic(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     // Ring index arithmetic masks with entries-1, so normalize a
     // non-power-of-two request before sizing rings and shadows.
     cfg_.ringEntries = driver::DescRing::roundUpPow2(cfg_.ringEntries);
-    // Keep NIC batches group-aligned so clears land on line boundaries.
-    cfg_.nicBatch = std::max(4, (cfg_.nicBatch / 4) * 4);
     // Clamp the publish-batch target well under the ring size so a
     // staged (unpublished, hence not `ready`) region can never be
     // lapped and overwritten by the producer's own full-ring check.
@@ -491,7 +489,7 @@ CcNic::idleWait(int q, Tick deadline)
     // consumer line would otherwise sleep through the whole recovery.
     co_await mem_.waitLineChangeUntil(
         watch, mem_.lineVersion(watch),
-        std::min(deadline, sim_.now() + cfg_.beatPeriod));
+        std::min(deadline, sim_.now() + driver::kBeatPeriod));
     co_return;
 }
 
@@ -508,7 +506,7 @@ CcNic::nicTxTask(int q)
             co_await runGate_.wait();
         if (!co_await tx.awaitWork(queue.nicAgent))
             continue;
-        if (!co_await claimTxCore(q, cfg_.nicBatch))
+        if (!co_await claimTxCore(q, kNicBatch))
             continue;
 
         // Integrity filter on the head descriptor line before
@@ -518,7 +516,7 @@ CcNic::nicTxTask(int q)
             queue.coreLock.release();
             co_await mem_.waitLineChangeUntil(
                 head_line, mem_.lineVersion(head_line),
-                sim_.now() + cfg_.beatPeriod);
+                sim_.now() + driver::kBeatPeriod);
             continue;
         }
 
@@ -531,7 +529,7 @@ CcNic::nicTxTask(int q)
         std::vector<Taken> batch;
         driver::SpanList descs;
         const std::uint32_t idx = tx.gather(
-            cfg_.nicBatch, descs, integrity_,
+            kNicBatch, descs, integrity_,
             [&batch](std::uint32_t i, driver::DescRing::Slot &slot) {
                 batch.push_back({i, slot.buf, slot.len});
             });
@@ -599,7 +597,7 @@ CcNic::nicRxTask(int q)
 
     for (;;) {
         const std::vector<WirePacket> batch =
-            co_await takeRxBatch(q, cfg_.nicBatch);
+            co_await takeRxBatch(q, kNicBatch);
 
         struct Placed
         {
@@ -685,7 +683,7 @@ CcNic::nicRxTask(int q)
                         break;
                     co_await mem_.waitLineChangeUntil(
                         line, mem_.lineVersion(line),
-                        sim_.now() + cfg_.beatPeriod);
+                        sim_.now() + driver::kBeatPeriod);
                 }
                 if (abandoned)
                     break;
@@ -741,7 +739,7 @@ CcNic::nicRxTask(int q)
                 if (completed)
                     slot.meta = driver::kRxCompleted;
             });
-        endRxBatch(q, cfg_.nicBatch);
+        endRxBatch(q, kNicBatch);
     }
 }
 

@@ -65,8 +65,6 @@ struct CcNicConfig
     driver::CpuCosts hostCosts{};
     driver::CpuCosts nicCosts{};
 
-    int nicBatch = 32;        ///< NIC-side processing burst.
-
     /// Batched signal publication (Fig 16): host TX descriptors are
     /// staged in software (write-combining, no coherence traffic) and
     /// published — contents, ready flags, and signal — as one posted
@@ -80,16 +78,7 @@ struct CcNicConfig
     /// E810's per-descriptor hardware handling, serializing each
     /// packet's descriptor-then-payload chain.
     bool nicPipelined = true;
-    sim::Tick wireLat = 0;    ///< Loopback wire latency.
     bool loopback = true;     ///< TX loops back to the same queue's RX.
-
-    /// Device heartbeat publish period (inlined liveness signal); also
-    /// bounds how long NIC engines park on a signal line before
-    /// re-checking lifecycle state.
-    sim::Tick beatPeriod = sim::fromUs(2.0);
-
-    /// Flat device-reset latency (ring teardown + engine restart).
-    sim::Tick resetLat = sim::fromUs(5.0);
 
     /// Path label this NIC's lifecycle spans are recorded under in
     /// obs::SpanTable (keeps CC-NIC and unoptimized-UPI breakdowns

@@ -147,19 +147,8 @@ NicInterface::deliverTx(int q, const WirePacket &pkt)
         txSink_(q, out);
         return;
     }
-    QueueCore *core = cores_[q];
-    if (traits_.wireLat == 0) {
-        out.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
-        core->rxInput.put(out);
-    } else {
-        sim_.scheduleCallback(sim_.now() + traits_.wireLat,
-                              [core, out, simp = &sim_]() mutable {
-                                  out.span.stamp(
-                                      obs::SpanStage::LinkDeliver,
-                                      simp->now());
-                                  core->rxInput.put(out);
-                              });
-    }
+    out.span.stamp(obs::SpanStage::LinkDeliver, sim_.now());
+    cores_[q]->rxInput.put(out);
 }
 
 void
@@ -374,7 +363,7 @@ sim::Task
 NicInterface::heartbeatTask()
 {
     for (;;) {
-        co_await sim_.delay(traits_.beatPeriod);
+        co_await sim_.delay(kBeatPeriod);
         // A wedged or down device goes silent: that silence is the
         // Watchdog's failure signal, so do not bump the line.
         if (wedged_ || devState_ != DevState::Running)
@@ -424,7 +413,7 @@ NicInterface::quiesce()
         co_return;
     devState_ = DevState::Quiescing;
     // Wake parked engines so they observe the state change; engines
-    // blocked on signal lines re-check within one beatPeriod.
+    // blocked on signal lines re-check within one kBeatPeriod.
     wakeEngines();
     // Refuse new host bursts (devState_ guard) and drain the ones in
     // flight.
@@ -451,7 +440,7 @@ sim::Coro<void>
 NicInterface::reset()
 {
     assert(devState_ == DevState::Down);
-    co_await sim_.delay(traits_.resetLat);
+    co_await sim_.delay(kResetLat);
 
     std::uint64_t reclaimed = 0;
     for (int q = 0; q < numQueues(); ++q) {

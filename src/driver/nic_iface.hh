@@ -82,6 +82,14 @@ struct QueueHealth
                                      ///< the device cannot yet see.
 };
 
+/// Device heartbeat publish period. It also bounds how long a device
+/// engine or a host idle wait parks on a line before re-checking the
+/// lifecycle state.
+inline constexpr sim::Tick kBeatPeriod = sim::fromUs(2.0);
+
+/// Flat device-reset latency (ring or slot teardown, engine restart).
+inline constexpr sim::Tick kResetLat = sim::fromUs(5.0);
+
 /**
  * What the shared lifecycle needs to know about one family, taken
  * from that family's own configuration at construction.
@@ -93,10 +101,7 @@ struct DeviceTraits
     /// Static tracepoint label of reset() ("<prefix>.reset").
     const char *resetTrace = "";
     CpuCosts hostCosts;         ///< Host driver costs (cpuCosts()).
-    sim::Tick beatPeriod = 0;   ///< Device heartbeat publish period.
-    sim::Tick resetLat = 0;     ///< Flat device-reset latency.
     sim::Tick reinitLat = 0;    ///< Engine restart latency in reinit().
-    sim::Tick wireLat = 0;      ///< Loopback wire latency.
     /// TX stays on the local loopback even with a sink installed;
     /// when false, TX goes to the sink as soon as one is installed.
     bool loopback = false;
@@ -508,7 +513,7 @@ class NicInterface
     obs::LabeledCounter batchOccupancy_; ///< {queue}
 
   private:
-    /** Device heartbeat: every beatPeriod while running. */
+    /** Device heartbeat: every kBeatPeriod while running. */
     sim::Task heartbeatTask();
 
     /** Wake engines parked on the run gate or the wire drain. */

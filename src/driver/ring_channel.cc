@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "driver/nic_iface.hh"
 #include "obs/trace.hh"
 
 namespace ccn::driver {
@@ -36,7 +37,7 @@ sim::Coro<void>
 RingChannel::park(mem::Addr line)
 {
     co_await mem_.waitLineChangeUntil(line, mem_.lineVersion(line),
-                                      sim_.now() + wait_);
+                                      sim_.now() + kBeatPeriod);
 }
 
 sim::Coro<void>

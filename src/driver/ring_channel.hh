@@ -56,13 +56,13 @@ class RingChannel
 
     /**
      * @param seal Seal partial lines (Grouped + Inline, batching off).
-     * @param wait Bound on every device-side wait.
+     * Every device-side wait is bounded by the beat period.
      */
     RingChannel(sim::Simulator &sim, mem::CoherentSystem &mem_system,
                 DescRing &ring, RegisterLine &tail, RegisterLine &head,
-                SignalMode mode, bool seal, sim::Tick wait)
+                SignalMode mode, bool seal)
         : ring(ring), tail(tail), head(head), sim_(sim), mem_(mem_system),
-          reg_(mode == SignalMode::Register), seal_(seal), wait_(wait)
+          reg_(mode == SignalMode::Register), seal_(seal)
     {}
 
     // Posted-store callbacks hold this channel's address.
@@ -191,7 +191,6 @@ class RingChannel
     mem::CoherentSystem &mem_;
     bool reg_;
     bool seal_;
-    sim::Tick wait_;
 };
 
 template <class Entry, class Fill>

@@ -48,17 +48,8 @@ struct NicParams
     /// the latency path.
     bool inlineDoorbellDesc = false;
 
-    /// Descriptors fetched per DMA read.
-    int descFetchBatch = 8;
-
     /// Per-packet device processing cost.
     sim::Tick perPacketLat = sim::fromNs(12.0);
-
-    /// Device heartbeat period (DDIO writeback of a liveness line).
-    sim::Tick beatPeriod = sim::fromUs(2.0);
-
-    /// Flat device-reset latency (function-level reset).
-    sim::Tick resetLat = sim::fromUs(5.0);
 
     /// Doorbell coalescing (Fig 16): descriptor stores still land per
     /// burst, but the MMIO tail doorbell is deferred until B

@@ -238,7 +238,7 @@ TEST(PioNic, OversizedFrameSpillsToMempool)
 {
     World w(pio::upiConfig(1, 0));
     const std::uint32_t len = 1024; // Far beyond the inline budget.
-    ASSERT_GT(len, w.nic.config().inlineBytes());
+    ASSERT_GT(len, pio::kInlineBytes);
 
     bool ok = false;
     w.simv.spawn(spillTask(w, len, &ok));
