@@ -15,21 +15,14 @@ using sim::Tick;
 
 /**
  * Coherence-profiler hook: one predictable branch when the profiler
- * is disabled, nothing at all when compiled out. Hooks never touch
- * protocol state or timing — profiling leaves simulation results
- * bit-identical.
+ * is disabled. Hooks never touch protocol state or timing — profiling
+ * leaves simulation results bit-identical.
  */
-#if CCN_COHERENCE_PROFILER
 #define CCN_PROF(call)                                                 \
     do {                                                               \
         if (prof_.enabled())                                           \
             prof_.call;                                                \
     } while (0)
-#else
-#define CCN_PROF(call)                                                 \
-    do {                                                               \
-    } while (0)
-#endif
 
 CoherentSystem::CoherentSystem(sim::Simulator &sim,
                                const PlatformConfig &config)
@@ -157,8 +150,7 @@ CoherentSystem::bumpVersion(LineDir &d, Addr line, Tick when)
 
 void
 CoherentSystem::noteRemote(AgentId a, Addr line, bool write, bool prefetch,
-                           [[maybe_unused]] int supplier,
-                           [[maybe_unused]] std::uint32_t bytes, Tick t,
+                           int supplier, std::uint32_t bytes, Tick t,
                            const char *what)
 {
     AgentCounters &k = agents_[a].counters;

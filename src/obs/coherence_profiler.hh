@@ -40,8 +40,7 @@
  * Event hooks add NO simulated latency or protocol state — enabling
  * the profiler leaves every simulation result bit-identical. When
  * disabled (the default), the memory system pays one predictable
- * branch per hook site; configure CMake with -DCCN_COHERENCE_PROFILER=OFF
- * to compile even that out.
+ * branch per hook site.
  */
 
 #ifndef CCN_OBS_COHERENCE_PROFILER_HH
