@@ -26,6 +26,70 @@ using namespace ccn;
 
 namespace {
 
+/**
+ * The two hosts of every point, on the ICX model: a 4-queue server
+ * (seed 11) and a 2-queue client (seed 12) of one interface family,
+ * each attached to the fabric through @p link. The sampler starts
+ * first, so each point records its own time-series rows.
+ */
+struct TwoHosts
+{
+    TwoHosts(const std::string &family, const net::LinkConfig &link)
+        : sampler(simv)
+    {
+        sampler.start();
+        server = scenario::makeHost(simv, family, plat, 4, 11);
+        client = scenario::makeHost(simv, family, plat, 2, 12);
+        serverAddr =
+            fabric.attach("server", scenario::hostHooks(*server), link);
+        clientAddr =
+            fabric.attach("client", scenario::hostHooks(*client), link);
+    }
+
+    const mem::PlatformConfig plat = mem::icxConfig();
+    sim::Simulator simv;
+    obs::Sampler sampler;
+    std::unique_ptr<scenario::HostWorld> server;
+    std::unique_ptr<scenario::HostWorld> client;
+    net::Fabric fabric{simv};
+    std::uint32_t serverAddr = 0;
+    std::uint32_t clientAddr = 0;
+};
+
+/** A clean 25 Gb/s link with a 128-packet queue. */
+net::LinkConfig
+link25()
+{
+    net::LinkConfig link;
+    link.gbps = 25.0;
+    link.queuePackets = 128;
+    return link;
+}
+
+/** link25() with seeded random loss. */
+net::LinkConfig
+lossyLink(double loss_rate)
+{
+    net::LinkConfig link = link25();
+    link.faults.dropRate = loss_rate;
+    link.faults.seed = 99;
+    return link;
+}
+
+/** The KV workload every point offers: 4 server threads, 2 client queues. */
+workload::ClientServerConfig
+kvConfig(double offered, double window_us)
+{
+    workload::ClientServerConfig cfg;
+    cfg.kv.serverThreads = 4;
+    cfg.kv.numObjects = 1u << 16;
+    cfg.kv.sizes = workload::SizeDist::ads();
+    cfg.offeredOps = offered;
+    cfg.clientQueues = 2;
+    cfg.window = sim::fromUs(window_us);
+    return cfg;
+}
+
 struct FabricPoint
 {
     workload::ClientServerResult r;
@@ -35,36 +99,17 @@ struct FabricPoint
 FabricPoint
 runPoint(double gbps, std::size_t queue_pkts, double offered)
 {
-    const auto plat = mem::icxConfig();
-    sim::Simulator simv;
-    obs::Sampler sampler(simv);
-    sampler.start();
-    auto server = scenario::makeHost(simv, "ccnic", plat, 4, 11);
-    auto client = scenario::makeHost(simv, "ccnic", plat, 2, 12);
-
-    net::Fabric fabric(simv);
     net::LinkConfig link;
     link.gbps = gbps;
     link.queuePackets = queue_pkts;
-    const auto server_addr =
-        fabric.attach("server", scenario::hostHooks(*server), link);
-    const auto client_addr =
-        fabric.attach("client", scenario::hostHooks(*client), link);
-
-    workload::ClientServerConfig cfg;
-    cfg.kv.serverThreads = 4;
-    cfg.kv.numObjects = 1u << 16;
-    cfg.kv.sizes = workload::SizeDist::ads();
-    cfg.offeredOps = offered;
-    cfg.clientQueues = 2;
-    cfg.window = sim::fromUs(250.0);
+    TwoHosts h("ccnic", link);
 
     FabricPoint p;
-    p.r = workload::runKvClientServer(simv, server->system, *server->nic,
-                                      client->system, *client->nic,
-                                      server_addr, cfg);
-    p.server = fabric.counters(server_addr);
-    p.client = fabric.counters(client_addr);
+    p.r = workload::runKvClientServer(
+        h.simv, h.server->system, *h.server->nic, h.client->system,
+        *h.client->nic, h.serverAddr, kvConfig(offered, 250.0));
+    p.server = h.fabric.counters(h.serverAddr);
+    p.client = h.fabric.counters(h.clientAddr);
     return p;
 }
 
@@ -77,34 +122,12 @@ struct LossPoint
 LossPoint
 runLossPoint(double loss_rate, double offered)
 {
-    const auto plat = mem::icxConfig();
-    sim::Simulator simv;
-    // Time-series snapshots for this point; the loss-free run's rows
-    // feed the "timeseries_lossfree" section the counters gate rate-
-    // checks (retransmit deltas must stay zero without loss).
-    obs::Sampler sampler(simv);
-    sampler.start();
-    auto server = scenario::makeHost(simv, "ccnic", plat, 4, 11);
-    auto client = scenario::makeHost(simv, "ccnic", plat, 2, 12);
+    // The loss-free run's time-series rows feed the
+    // "timeseries_lossfree" section the counters gate rate-checks
+    // (retransmit deltas must stay zero without loss).
+    TwoHosts h("ccnic", lossyLink(loss_rate));
 
-    net::Fabric fabric(simv);
-    net::LinkConfig link;
-    link.gbps = 25.0;
-    link.queuePackets = 128;
-    link.faults.dropRate = loss_rate;
-    link.faults.seed = 99;
-    const auto server_addr =
-        fabric.attach("server", scenario::hostHooks(*server), link);
-    const auto client_addr =
-        fabric.attach("client", scenario::hostHooks(*client), link);
-
-    workload::ClientServerConfig cfg;
-    cfg.kv.serverThreads = 4;
-    cfg.kv.numObjects = 1u << 16;
-    cfg.kv.sizes = workload::SizeDist::ads();
-    cfg.offeredOps = offered;
-    cfg.clientQueues = 2;
-    cfg.window = sim::fromUs(250.0);
+    auto cfg = kvConfig(offered, 250.0);
     cfg.drain = sim::fromUs(2000.0); // Loss recovery needs headroom.
     // RTT p99 on this fabric reaches ~15-25 us under response bursts;
     // the default 10 us RTO floor (tuned for loopback RTTs) would fire
@@ -113,10 +136,10 @@ runLossPoint(double loss_rate, double offered)
 
     LossPoint p;
     p.r = workload::runKvClientServerReliable(
-        simv, server->system, *server->nic, client->system, *client->nic,
-        server_addr, cfg);
-    p.server = fabric.counters(server_addr);
-    p.client = fabric.counters(client_addr);
+        h.simv, h.server->system, *h.server->nic, h.client->system,
+        *h.client->nic, h.serverAddr, cfg);
+    p.server = h.fabric.counters(h.serverAddr);
+    p.client = h.fabric.counters(h.clientAddr);
     return p;
 }
 
@@ -137,30 +160,9 @@ struct MemChaosPoint
 MemChaosPoint
 runMemChaosPoint(const std::string &family, double offered)
 {
-    const auto plat = mem::icxConfig();
-    sim::Simulator simv;
-    obs::Sampler sampler(simv);
-    sampler.start();
+    TwoHosts h(family, link25());
 
-    auto server = scenario::makeHost(simv, family, plat, 4, 11);
-    auto client = scenario::makeHost(simv, family, plat, 2, 12);
-
-    net::Fabric fabric(simv);
-    net::LinkConfig link;
-    link.gbps = 25.0;
-    link.queuePackets = 128;
-    const auto server_addr = fabric.attach(
-        "server", scenario::hostHooks(*server), link);
-    const auto client_addr = fabric.attach(
-        "client", scenario::hostHooks(*client), link);
-
-    workload::ClientServerConfig cfg;
-    cfg.kv.serverThreads = 4;
-    cfg.kv.numObjects = 1u << 16;
-    cfg.kv.sizes = workload::SizeDist::ads();
-    cfg.offeredOps = offered;
-    cfg.clientQueues = 2;
-    cfg.window = sim::fromUs(400.0);
+    auto cfg = kvConfig(offered, 400.0);
     cfg.drain = sim::fromUs(3000.0); // Recovery needs headroom.
     cfg.tp.minRto = sim::fromUs(50.0);
 
@@ -176,8 +178,8 @@ runMemChaosPoint(const std::string &family, double offered)
 
     MemChaosPoint p;
     p.c = workload::runKvClientServerChaos(
-        simv, server->system, *server->nic, client->system,
-        *client->nic, fabric, server_addr, client_addr, cfg, chaos);
+        h.simv, h.server->system, *h.server->nic, h.client->system,
+        *h.client->nic, h.fabric, h.serverAddr, h.clientAddr, cfg, chaos);
     if (p.c.kv.requestsSent > 0) {
         p.availabilityPct =
             100.0 * static_cast<double>(p.c.kv.responses) /
@@ -190,39 +192,17 @@ runMemChaosPoint(const std::string &family, double offered)
 workload::ChaosKvResult
 runChaosPoint(double loss_rate, double offered)
 {
-    const auto plat = mem::icxConfig();
-    sim::Simulator simv;
-    obs::Sampler sampler(simv);
-    sampler.start();
-    auto server = scenario::makeHost(simv, "ccnic", plat, 4, 11);
-    auto client = scenario::makeHost(simv, "ccnic", plat, 2, 12);
+    TwoHosts h("ccnic", lossyLink(loss_rate));
 
-    net::Fabric fabric(simv);
-    net::LinkConfig link;
-    link.gbps = 25.0;
-    link.queuePackets = 128;
-    link.faults.dropRate = loss_rate;
-    link.faults.seed = 99;
-    const auto server_addr =
-        fabric.attach("server", scenario::hostHooks(*server), link);
-    const auto client_addr =
-        fabric.attach("client", scenario::hostHooks(*client), link);
-
-    workload::ClientServerConfig cfg;
-    cfg.kv.serverThreads = 4;
-    cfg.kv.numObjects = 1u << 16;
-    cfg.kv.sizes = workload::SizeDist::ads();
-    cfg.offeredOps = offered;
-    cfg.clientQueues = 2;
-    cfg.window = sim::fromUs(400.0);
+    auto cfg = kvConfig(offered, 400.0);
     cfg.drain = sim::fromUs(3000.0); // Recovery + loss need headroom.
     cfg.tp.minRto = sim::fromUs(50.0); // Same floor as the loss sweep.
 
     workload::ChaosConfig chaos;
     chaos.seed = 0xc4a05ULL;
     return workload::runKvClientServerChaos(
-        simv, server->system, *server->nic, client->system, *client->nic,
-        fabric, server_addr, client_addr, cfg, chaos);
+        h.simv, h.server->system, *h.server->nic, h.client->system,
+        *h.client->nic, h.fabric, h.serverAddr, h.clientAddr, cfg, chaos);
 }
 
 } // namespace
