@@ -378,6 +378,13 @@ TEST(ScenarioRun, CaptureThenReplayPreservesOps)
     EXPECT_EQ(replay.replaySent, replay.replayOps);
     EXPECT_EQ(replay.replayResponses, replay.replayOps);
     EXPECT_EQ(replay.replayLost, 0u);
+    // Exact replay output, pinned so a change to the replay path
+    // that claims identical output is checked.
+    EXPECT_EQ(replay.replaySent, 78u);
+    EXPECT_EQ(replay.replayResponses, 78u);
+    EXPECT_EQ(replay.replayDuplicates, 0u);
+    EXPECT_DOUBLE_EQ(replay.replayRttP50Ns, 4685.824);
+    EXPECT_DOUBLE_EQ(replay.replayRttP99Ns, 8797.776);
     std::remove(trace.c_str());
 }
 
@@ -402,6 +409,10 @@ TEST(ScenarioRun, ReplayMaxRateCompletes)
     EXPECT_EQ(out.replayOps, 64u);
     EXPECT_EQ(out.replayResponses, 64u);
     EXPECT_EQ(out.replayLost, 0u);
+    EXPECT_EQ(out.replaySent, 64u);
+    EXPECT_EQ(out.replayDuplicates, 0u);
+    EXPECT_DOUBLE_EQ(out.replayRttP50Ns, 15794.176);
+    EXPECT_DOUBLE_EQ(out.replayRttP99Ns, 19791.872);
     std::remove(trace.c_str());
 }
 
