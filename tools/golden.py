@@ -16,8 +16,9 @@ baselines and EXPERIMENTS.md rows come from, and writes it into DIR:
   `BENCH_scenario_<x>.json` and `scenario_<x>.stdout`;
 - the stdout of each of the 6 examples, as `<example>.stdout`;
 - `bench_fig14_signaling_layout --trace`'s trace as `fig14.trace`;
-- the digest line each `CcNicConservation` property test prints, after
-  its test name, in `ccnic_conservation.digests`.
+- the digest line each `CcNicConservation` and `PioConservation`
+  property test prints, after its test name, in
+  `ccnic_conservation.digests` and `pio_conservation.digests`.
 
 Up to N jobs (default 1) run at once; each writes only its own files,
 so the result does not depend on N. Each job's progress line gives its
@@ -76,7 +77,9 @@ BENCHES = (
 EXAMPLES = ("quickstart", "interface_compare", "kv_server",
             "kv_over_fabric", "latency_probe", "middlebox")
 
-DIGESTS = "ccnic_conservation.digests"
+# Property tests whose digest lines are kept: (job name, test suite).
+CONSERVATION = (("ccnic_conservation", "CcNicConservation"),
+                ("pio_conservation", "PioConservation"))
 
 
 def jobs(root: Path, build: Path, out: Path):
@@ -94,10 +97,11 @@ def jobs(root: Path, build: Path, out: Path):
             out / "fig14.trace"], None, lambda data: None)
     for b in BENCHES:
         yield b, [build / "bench" / b], out, keep(f"{b}.stdout")
-    yield ("ccnic_conservation",
-           [build / "tests/property_test",
-            "--gtest_filter=*CcNicConservation*"], None,
-           lambda data: write_digests(data.decode(), out / DIGESTS))
+    for name, test in CONSERVATION:
+        yield (name,
+               [build / "tests/property_test", f"--gtest_filter=*{test}*"],
+               None, lambda data, name=name: write_digests(
+                   data.decode(), out / f"{name}.digests"))
     for ccn in sorted((root / "examples" / "scenarios").glob("*.ccn")):
         name = f"scenario_{ccn.stem}"
         yield (name, [build / "src/scenario/ccn_run", ccn.relative_to(root)],
