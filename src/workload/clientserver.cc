@@ -293,12 +293,6 @@ runReliableWithEndpoints(
     if (before_run)
         before_run(st->runUntil);
 
-    sim.run(st->measureEnd);
-    // Drain in slices until every accepted request is answered (or
-    // the drain budget runs out, which counts the rest as lost).
-    while (st->responses < st->sent && sim.now() < st->runUntil)
-        sim.run(std::min<Tick>(st->runUntil,
-                               sim.now() + sim::fromUs(10.0)));
     sim.run(st->runUntil + sim::fromUs(5.0));
 
     ReliableClientServerResult r;

@@ -117,8 +117,8 @@ struct ReliableClientServerResult
  * the reliable transport (one connection per client queue), so the
  * workload tolerates fabric loss, reordering, corruption, and link
  * flaps: requests are never lost unless a connection exhausts its
- * retries. After the measurement window the harness keeps simulating
- * (up to cfg.drain) until every accepted request has its response.
+ * retries. After the measurement window the harness simulates
+ * cfg.drain more; a request still unanswered then counts as lost.
  */
 ReliableClientServerResult runKvClientServerReliable(
     sim::Simulator &sim, mem::CoherentSystem &server_mem,
