@@ -106,10 +106,9 @@ serverThread(sim::Simulator &sim, mem::CoherentSystem &m,
         std::vector<std::uint64_t> keys(nr);
         std::vector<bool> is_get(nr);
         for (int i = 0; i < nr; ++i) {
-            // Bits 0..31 key, 32..62 caller request-id (opaque here),
-            // bit 63 PUT flag.
-            keys[i] = reqs[i]->userData & 0xffffffffULL;
-            is_get[i] = (reqs[i]->userData >> 63) == 0;
+            const KvRequestKey req = unpackKvRequest(reqs[i]->userData);
+            keys[i] = req.key;
+            is_get[i] = req.get;
             const std::uint64_t bucket =
                 (keys[i] * 0x9e3779b97f4a7c15ULL) & st->indexMask;
             idx_spans.push_back({st->indexBase + bucket * 8, 8});
@@ -194,9 +193,7 @@ serveConnTask(sim::Simulator &sim, mem::CoherentSystem &m,
         // the transport's receive pump).
         co_await sim.delay(
             m.config().cycles(cfg.parseCycles + cfg.indexCycles));
-        const std::uint64_t key =
-            req.userData & 0xffffffffULL;
-        const bool is_get = (req.userData >> 63) == 0;
+        const auto [key, is_get] = unpackKvRequest(req.userData);
         const std::uint64_t bucket =
             (key * 0x9e3779b97f4a7c15ULL) & st->indexMask;
         std::vector<mem::CoherentSystem::Span> idx{
@@ -247,7 +244,7 @@ clientGen(sim::Simulator &sim, driver::NicInterface &nic,
         pkt.len = cfg.requestBytes;
         pkt.txTime = sim.now();
         pkt.flowId = n;
-        pkt.userData = key | (get ? 0ULL : (1ULL << 63));
+        pkt.userData = packKvRequest(key, get);
         const int q = static_cast<int>(n % queues);
         const Tick at = inbound->admit(pkt.len);
         auto inj = inject;

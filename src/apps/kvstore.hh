@@ -69,6 +69,34 @@ struct KvConfig
     std::uint64_t seed = 11;
 };
 
+/// @name KV request format
+/// A request travels in the frame's `userData`: bits 0..31 the key,
+/// bits 32..62 the client's request id (the server echoes the word,
+/// so a client can deduplicate responses on it), bit 63 set for a
+/// PUT.
+/// @{
+constexpr std::uint64_t
+packKvRequest(std::uint64_t key, bool get, std::uint64_t req_id = 0)
+{
+    return (key & 0xffffffffULL) | ((req_id & 0x7fffffffULL) << 32) |
+           (get ? 0ULL : 1ULL << 63);
+}
+
+/** The key and GET/PUT a packed request carries. */
+struct KvRequestKey
+{
+    std::uint32_t key;
+    bool get;
+};
+
+constexpr KvRequestKey
+unpackKvRequest(std::uint64_t user_data)
+{
+    return {static_cast<std::uint32_t>(user_data),
+            (user_data >> 63) == 0};
+}
+/// @}
+
 /** Result of one KV measurement point. */
 struct KvResult
 {

@@ -212,12 +212,8 @@ replayClientTask(sim::Simulator &sim, transport::Endpoint &ep,
         }
         if (sim.now() >= st->horizon)
             break;
-        // Same userData layout as the live client: bits 0..31 key,
-        // 32..62 request-id (deduplicated on receive), 63 PUT flag.
-        const std::uint64_t req_id = ++st->nextReqId & 0x7fffffffULL;
         const std::uint64_t user_data =
-            (rec.key & 0xffffffffULL) | (req_id << 32) |
-            (rec.get ? 0ULL : (1ULL << 63));
+            apps::packKvRequest(rec.key, rec.get, ++st->nextReqId);
         if (!co_await conn->send(rec.bytes, user_data, 0))
             break;
         st->sent++;

@@ -66,7 +66,7 @@ clientTxTask(sim::Simulator &sim, mem::CoherentSystem &m,
         buf->len = cfg.requestBytes;
         buf->txTime = sim.now();
         buf->flowId = ++n;
-        buf->userData = key | (get ? 0ULL : (1ULL << 63));
+        buf->userData = apps::packKvRequest(key, get);
         buf->dst = server_addr;
         buf->src = 0;
 
@@ -203,12 +203,8 @@ reliableClientTask(sim::Simulator &sim, transport::Endpoint &ep,
 
         const std::uint64_t key = st->zipf.sample(rng);
         const bool get = rng.uniform() < cfg.kv.getFraction;
-        // userData layout: bits 0..31 key, 32..62 request-id (echoed
-        // by the server, deduplicated by the receiver), 63 PUT flag.
-        const std::uint64_t req_id = ++st->nextReqId & 0x7fffffffULL;
-        const std::uint64_t user_data = (key & 0xffffffffULL) |
-                                        (req_id << 32) |
-                                        (get ? 0ULL : (1ULL << 63));
+        const std::uint64_t user_data =
+            apps::packKvRequest(key, get, ++st->nextReqId);
         if (!co_await conn->send(cfg.requestBytes, user_data, 0))
             break; // Connection errored out.
         st->sent++;
