@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
+#include <optional>
 
 #include "apps/kvstore.hh"
 #include "mem/platform.hh"
@@ -10,7 +10,6 @@
 #include "obs/sampler.hh"
 #include "scenario/lexer.hh"
 #include "scenario/world.hh"
-#include "stats/histogram.hh"
 #include "stats/table.hh"
 #include "transport/transport.hh"
 #include "workload/dists.hh"
@@ -153,72 +152,26 @@ portsTable(const FabricRun &run)
     return t;
 }
 
-/** Shared accounting for one trace replay. */
-struct ReplayState
+/**
+ * Source for one connection's slice of a trace: each record at run
+ * start + its t_ns when @p paced, else at once.
+ */
+workload::RequestSource
+replaySource(std::vector<TraceRecord> records, Tick start, bool paced)
 {
-    Tick start = 0;
-    Tick horizon = 0;
-    bool preserveGaps = true;
-
-    std::uint64_t sent = 0;
-    std::uint64_t responses = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t nextReqId = 0;
-    std::unordered_set<std::uint64_t> seenResponses;
-    stats::Histogram rttTicks;
-};
-
-sim::Task
-replayRxTask(sim::Simulator &sim, transport::Connection *conn,
-             std::shared_ptr<ReplayState> st)
-{
-    while (sim.now() < st->horizon) {
-        transport::Segment seg;
-        if (!co_await conn->recv(&seg, st->horizon)) {
-            if (conn->state() ==
-                transport::Connection::State::Error)
-                break;
-            continue;
-        }
-        if (!st->seenResponses.insert(seg.userData).second) {
-            st->duplicates++;
-            continue;
-        }
-        st->responses++;
-        st->rttTicks.record(sim.now() - seg.txTime);
-    }
-    co_return;
-}
-
-/** Feed one connection's slice of the trace through the transport. */
-sim::Task
-replayClientTask(sim::Simulator &sim, transport::Endpoint &ep,
-                 std::uint32_t server_addr, int idx,
-                 std::vector<TraceRecord> records,
-                 std::shared_ptr<ReplayState> st)
-{
-    transport::Connection *conn = co_await ep.connect(
-        server_addr, 0x5eedULL + static_cast<std::uint64_t>(idx));
-    if (conn->state() != transport::Connection::State::Open)
-        co_return;
-    sim.spawn(replayRxTask(sim, conn, st));
-
-    for (const TraceRecord &rec : records) {
-        if (st->preserveGaps) {
-            const Tick at = st->start + sim::fromNs(
-                                static_cast<double>(rec.atNs));
-            if (at > sim.now())
-                co_await sim.delayUntil(at);
-        }
-        if (sim.now() >= st->horizon)
-            break;
-        const std::uint64_t user_data =
-            apps::packKvRequest(rec.key, rec.get, ++st->nextReqId);
-        if (!co_await conn->send(rec.bytes, user_data, 0))
-            break;
-        st->sent++;
-    }
-    co_return;
+    return [records = std::move(records), start, paced]() mutable {
+        return [records = std::move(records), start, paced,
+                i = std::size_t{0}]() mutable
+               -> std::optional<workload::KvRequest> {
+            if (i == records.size())
+                return std::nullopt;
+            const TraceRecord &rec = records[i++];
+            const Tick at =
+                paced ? start + sim::fromNs(static_cast<double>(rec.atNs))
+                      : 0;
+            return workload::KvRequest{at, rec.get, rec.key, rec.bytes};
+        };
+    };
 }
 
 void
@@ -244,22 +197,16 @@ runReplay(const ScenarioSpec &spec, FabricRun &run,
     transport::Endpoint client_ep(run.simv, client.system,
                                   *client.nic, tp, "client");
 
-    auto st = std::make_shared<ReplayState>();
-    st->start = run.simv.now();
-    st->preserveGaps = r.preserveGaps;
-    const Tick span = records.empty()
+    // Every response counts, and sends stop at the horizon.
+    const Tick start = run.simv.now();
+    const Tick span = records.empty() || !r.preserveGaps
                           ? 0
                           : sim::fromNs(static_cast<double>(
                                 records.back().atNs));
-    st->horizon = st->start + (r.preserveGaps ? span : 0) +
-                  sim::fromUs(r.drainUs);
-
-    sim::Rng server_rng(r.seed);
-    apps::KvServer kvserver(server.system, kv, server_rng);
-    kvserver.startOverTransport(run.simv, server.system, server_ep,
-                                st->horizon);
-    server_ep.start(st->horizon);
-    client_ep.start(st->horizon);
+    workload::ReliableClock clock;
+    clock.measureStart = start;
+    clock.measureEnd = sim::kTickMax;
+    clock.runUntil = start + span + sim::fromUs(r.drainUs);
 
     // Round-robin the trace across one connection per client queue;
     // each connection's subsequence keeps the recorded time order.
@@ -267,33 +214,30 @@ runReplay(const ScenarioSpec &spec, FabricRun &run,
         std::max(1, r.clientQueues));
     for (std::size_t i = 0; i < records.size(); ++i)
         slices[i % slices.size()].push_back(records[i]);
-    for (std::size_t c = 0; c < slices.size(); ++c) {
-        run.simv.spawn(replayClientTask(run.simv, client_ep,
-                                        run.addr(r.server),
-                                        static_cast<int>(c),
-                                        std::move(slices[c]), st));
-    }
+    std::vector<workload::RequestSource> sources;
+    for (std::vector<TraceRecord> &slice : slices)
+        sources.push_back(
+            replaySource(std::move(slice), start, r.preserveGaps));
 
-    run.simv.run(st->horizon + sim::fromUs(5.0));
-    const std::uint64_t expected = records.size();
-
+    out.kv = workload::runReliableClients(
+        run.simv, server.system, server_ep, client_ep,
+        run.addr(r.server), kv, r.seed, clock, sources);
     out.ranReplay = true;
-    out.replayOps = expected;
-    out.replaySent = st->sent;
-    out.replayResponses = st->responses;
-    out.replayLost =
-        st->sent > st->responses ? st->sent - st->responses : 0;
-    out.replayDuplicates = st->duplicates;
-    out.replayRttP50Ns = sim::toNs(st->rttTicks.percentile(50.0));
-    out.replayRttP99Ns = sim::toNs(st->rttTicks.percentile(99.0));
+    out.replayOps = records.size();
+    out.replaySent = out.kv.requestsSent;
+    out.replayResponses = out.kv.responses;
+    out.replayLost = out.kv.lostRequests;
+    out.replayDuplicates = out.kv.duplicateResponses;
+    out.replayRttP50Ns = out.kv.rttP50Ns;
+    out.replayRttP99Ns = out.kv.rttP99Ns;
 
     stats::Table t({"trace_ops", "sent", "responses", "lost",
                     "duplicates", "rtt_p50_ns", "rtt_p99_ns",
                     "pacing"});
-    t.row().cell(out.replayOps).cell(out.replaySent)
-        .cell(out.replayResponses).cell(out.replayLost)
-        .cell(out.replayDuplicates).cell(out.replayRttP50Ns, 0)
-        .cell(out.replayRttP99Ns, 0)
+    t.row().cell(static_cast<std::uint64_t>(records.size()))
+        .cell(out.kv.requestsSent).cell(out.kv.responses)
+        .cell(out.kv.lostRequests).cell(out.kv.duplicateResponses)
+        .cell(out.kv.rttP50Ns, 0).cell(out.kv.rttP99Ns, 0)
         .cell(r.preserveGaps ? "recorded" : "max");
     out.json.add("results", t);
 }

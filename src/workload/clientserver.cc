@@ -1,5 +1,6 @@
 #include "workload/clientserver.hh"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_set>
 
@@ -126,14 +127,8 @@ clientRxTask(sim::Simulator &sim, mem::CoherentSystem &m,
 /** Shared accounting for the reliable-transport client. */
 struct ReliableState
 {
-    explicit ReliableState(const ClientServerConfig &cfg)
-        : zipf(cfg.kv.numObjects, cfg.kv.zipf)
-    {}
-
-    ZipfSampler zipf;
-    Tick measureStart = 0;
-    Tick measureEnd = 0;
-    Tick runUntil = 0;
+    ReliableClock clock;
+    RequestHook onRequest;
 
     std::uint64_t sent = 0;
     std::uint64_t responses = 0;       ///< Whole run, deduplicated.
@@ -150,9 +145,10 @@ sim::Task
 reliableRxTask(sim::Simulator &sim, transport::Connection *conn,
                std::shared_ptr<ReliableState> st)
 {
-    while (sim.now() < st->runUntil) {
+    const ReliableClock &clock = st->clock;
+    while (sim.now() < clock.runUntil) {
         transport::Segment seg;
-        if (!co_await conn->recv(&seg, st->runUntil)) {
+        if (!co_await conn->recv(&seg, clock.runUntil)) {
             if (conn->state() ==
                 transport::Connection::State::Error)
                 break;
@@ -167,7 +163,7 @@ reliableRxTask(sim::Simulator &sim, transport::Connection *conn,
         }
         st->responses++;
         const Tick now = sim.now();
-        if (now >= st->measureStart && now < st->measureEnd) {
+        if (now >= clock.measureStart && now < clock.measureEnd) {
             st->windowResponses++;
             st->respBytes += seg.len;
             st->rttTicks.record(now - seg.txTime);
@@ -176,13 +172,12 @@ reliableRxTask(sim::Simulator &sim, transport::Connection *conn,
     co_return;
 }
 
-/** Connect, then generate open-loop requests on one connection. */
+/** Connect, then send one source's requests on that connection. */
 sim::Task
 reliableClientTask(sim::Simulator &sim, transport::Endpoint &ep,
-                   std::uint32_t server_addr, int idx, double rate,
-                   const ClientServerConfig cfg,
-                   std::shared_ptr<ReliableState> st,
-                   std::uint64_t seed)
+                   std::uint32_t server_addr, int idx,
+                   RequestSource source,
+                   std::shared_ptr<ReliableState> st)
 {
     // Distinct flowIds so RSS spreads connections across queues.
     transport::Connection *conn = co_await ep.connect(
@@ -191,28 +186,25 @@ reliableClientTask(sim::Simulator &sim, transport::Endpoint &ep,
         co_return;
     sim.spawn(reliableRxTask(sim, conn, st));
 
-    sim::Rng rng(seed);
-    Tick next = sim.now();
-    while (sim.now() < st->measureEnd) {
-        next += static_cast<Tick>(rng.exponential(
-            static_cast<double>(sim::kSecond) / rate));
-        if (next > sim.now())
-            co_await sim.delayUntil(next);
-        if (sim.now() >= st->measureEnd)
+    // Nothing is sent once the window or the run is over; checking
+    // before the next request keeps its wait off the calendar.
+    const Tick stop = std::min(st->clock.measureEnd, st->clock.runUntil);
+    auto next = source();
+    while (sim.now() < stop) {
+        const std::optional<KvRequest> req = next();
+        if (!req)
             break;
-
-        const std::uint64_t key = st->zipf.sample(rng);
-        const bool get = rng.uniform() < cfg.kv.getFraction;
+        if (req->at > sim.now())
+            co_await sim.delayUntil(req->at);
+        if (sim.now() >= stop)
+            break;
         const std::uint64_t user_data =
-            apps::packKvRequest(key, get, ++st->nextReqId);
-        if (!co_await conn->send(cfg.requestBytes, user_data, 0))
+            apps::packKvRequest(req->key, req->get, ++st->nextReqId);
+        if (!co_await conn->send(req->bytes, user_data, 0))
             break; // Connection errored out.
         st->sent++;
-        if (cfg.onRequest)
-            cfg.onRequest(sim.now(), get,
-                          static_cast<std::uint32_t>(key &
-                                                     0xffffffffULL),
-                          cfg.requestBytes);
+        if (st->onRequest)
+            st->onRequest(sim.now(), req->get, req->key, req->bytes);
     }
     co_return;
 }
@@ -268,29 +260,73 @@ runReliableWithEndpoints(
     std::uint32_t server_addr, const ClientServerConfig &cfg,
     const std::function<void(sim::Tick run_until)> &before_run)
 {
-    auto st = std::make_shared<ReliableState>(cfg);
-    st->measureStart = sim.now() + cfg.warmup;
-    st->measureEnd = st->measureStart + cfg.window;
-    st->runUntil = st->measureEnd + cfg.drain;
+    ReliableClock clock;
+    clock.measureStart = sim.now() + cfg.warmup;
+    clock.measureEnd = clock.measureStart + cfg.window;
+    clock.runUntil = clock.measureEnd + cfg.drain;
 
-    sim::Rng server_rng(cfg.seed);
-    apps::KvServer server(server_mem, cfg.kv, server_rng);
+    // Open loop: Poisson gaps from the tick the connection opens, then
+    // a Zipf key and a GET/PUT, all from the connection's own Rng.
+    auto zipf = std::make_shared<const ZipfSampler>(cfg.kv.numObjects,
+                                                    cfg.kv.zipf);
+    const double rate = cfg.offeredOps / cfg.clientQueues;
+    const double get_frac = cfg.kv.getFraction;
+    const std::uint32_t bytes = cfg.requestBytes;
+    std::vector<RequestSource> sources;
+    for (int q = 0; q < cfg.clientQueues; ++q) {
+        const std::uint64_t seed = cfg.seed * 131 + q;
+        sources.push_back([&sim, zipf, rate, get_frac, bytes, seed] {
+            return [zipf, rate, get_frac, bytes, rng = sim::Rng(seed),
+                    next = sim.now()]() mutable {
+                next += static_cast<Tick>(rng.exponential(
+                    static_cast<double>(sim::kSecond) / rate));
+                const auto key =
+                    static_cast<std::uint32_t>(zipf->sample(rng));
+                const bool get = rng.uniform() < get_frac;
+                return std::optional(KvRequest{next, get, key, bytes});
+            };
+        });
+    }
+    ReliableClientServerResult r = runReliableClients(
+        sim, server_mem, server_ep, client_ep, server_addr, cfg.kv,
+        cfg.seed, clock, sources, cfg.onRequest, before_run);
+    r.offeredMops = cfg.offeredOps / 1e6;
+    return r;
+}
+
+ReliableClientServerResult
+runReliableClients(
+    sim::Simulator &sim, mem::CoherentSystem &server_mem,
+    transport::Endpoint &server_ep, transport::Endpoint &client_ep,
+    std::uint32_t server_addr, const apps::KvConfig &kv,
+    std::uint64_t server_seed, const ReliableClock &clock,
+    const std::vector<RequestSource> &sources,
+    const RequestHook &on_request,
+    const std::function<void(sim::Tick run_until)> &before_run)
+{
+    auto st = std::make_shared<ReliableState>();
+    st->clock = clock;
+    st->onRequest = on_request;
+
+    sim::Rng server_rng(server_seed);
+    apps::KvServer server(server_mem, kv, server_rng);
     server.startOverTransport(sim, server_mem, server_ep,
-                              st->runUntil);
-    server_ep.start(st->runUntil);
-    client_ep.start(st->runUntil);
+                              clock.runUntil);
+    server_ep.start(clock.runUntil);
+    client_ep.start(clock.runUntil);
 
-    const int queues = cfg.clientQueues;
-    for (int q = 0; q < queues; ++q) {
-        sim.spawn(reliableClientTask(sim, client_ep, server_addr, q,
-                                     cfg.offeredOps / queues, cfg, st,
-                                     cfg.seed * 131 + q));
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+        sim.spawn(reliableClientTask(sim, client_ep, server_addr,
+                                     static_cast<int>(i), sources[i],
+                                     st));
     }
     if (before_run)
-        before_run(st->runUntil);
+        before_run(clock.runUntil);
 
-    sim.run(st->runUntil + sim::fromUs(5.0));
+    sim.run(clock.runUntil + sim::fromUs(5.0));
 
+    const double window_s =
+        sim::toSeconds(clock.measureEnd - clock.measureStart);
     ReliableClientServerResult r;
     r.requestsSent = st->sent;
     r.responses = st->responses;
@@ -303,11 +339,9 @@ runReliableWithEndpoints(
     r.timeouts = cs.timeouts + ss.timeouts;
     r.windowStalls = cs.windowStalls + ss.windowStalls;
     r.connAborts = cs.aborts + ss.aborts;
-    r.offeredMops = cfg.offeredOps / 1e6;
-    r.achievedMops = static_cast<double>(st->windowResponses) /
-                     sim::toSeconds(cfg.window) / 1e6;
-    r.gbpsIn = static_cast<double>(st->respBytes) * 8.0 /
-               sim::toSeconds(cfg.window) / 1e9;
+    r.achievedMops =
+        static_cast<double>(st->windowResponses) / window_s / 1e6;
+    r.gbpsIn = static_cast<double>(st->respBytes) * 8.0 / window_s / 1e9;
     r.duplicateResponses = st->duplicates;
     r.rttMinNs = sim::toNs(st->rttTicks.min());
     r.rttP50Ns = sim::toNs(st->rttTicks.percentile(50.0));

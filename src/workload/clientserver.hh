@@ -17,6 +17,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <vector>
 
 #include "apps/kvstore.hh"
 #include "driver/nic_iface.hh"
@@ -27,6 +29,15 @@
 #include "transport/transport.hh"
 
 namespace ccn::workload {
+
+/**
+ * Called once per request a client submits (raw: accepted by
+ * txBurst; reliable: accepted by send()) with the submit tick,
+ * GET/PUT, key, and request payload bytes.
+ */
+using RequestHook = std::function<void(sim::Tick at, bool get,
+                                       std::uint32_t key,
+                                       std::uint32_t bytes)>;
 
 /** Client-server run configuration. */
 struct ClientServerConfig
@@ -44,14 +55,9 @@ struct ClientServerConfig
     /// datagram harness).
     transport::TransportConfig tp;
 
-    /// Invoked once per request the client successfully submits (raw:
-    /// accepted by txBurst; reliable: accepted by send()) with the
-    /// submit tick, GET/PUT, key, and request payload bytes. The
-    /// scenario subsystem uses this to capture replayable traces;
+    /// The scenario subsystem uses this to capture replayable traces;
     /// leave unset for no per-request overhead.
-    std::function<void(sim::Tick at, bool get, std::uint32_t key,
-                       std::uint32_t bytes)>
-        onRequest;
+    RequestHook onRequest;
 };
 
 /** Result of one client-server measurement. */
@@ -127,19 +133,67 @@ ReliableClientServerResult runKvClientServerReliable(
     const ClientServerConfig &cfg);
 
 /**
- * Core of runKvClientServerReliable operating on caller-owned
- * endpoints: starts the KV server over @p server_ep, drives the
- * open-loop client over @p client_ep, runs the simulation through
- * warmup, window, and drain, and returns the measurement. If
- * @p before_run is set it is invoked — after both endpoints have been
- * started but before the simulation runs — with the run horizon, so
- * callers can arm watchdogs or chaos schedules against the same
- * deadline (see workload/chaos.hh).
+ * runKvClientServerReliable over caller-owned endpoints: one open-loop
+ * client per cfg.clientQueues connection, with Poisson gaps from the
+ * connection's open, Zipf keys and cfg.kv.getFraction GETs, each
+ * drawn from Rng(cfg.seed * 131 + connection). Returns the
+ * measurement of runReliableClients over warmup, window and drain.
  */
 ReliableClientServerResult runReliableWithEndpoints(
     sim::Simulator &sim, mem::CoherentSystem &server_mem,
     transport::Endpoint &server_ep, transport::Endpoint &client_ep,
     std::uint32_t server_addr, const ClientServerConfig &cfg,
+    const std::function<void(sim::Tick run_until)> &before_run =
+        nullptr);
+
+/** One request a reliable client sends. */
+struct KvRequest
+{
+    sim::Tick at = 0; ///< Send tick; one already past sends at once.
+    bool get = true;
+    std::uint32_t key = 0;
+    std::uint32_t bytes = 0; ///< Request payload size.
+};
+
+/**
+ * One connection's request source. The client calls it once its
+ * connection is open; each call of the stream it returns gives the
+ * next request, or nullopt at the end.
+ */
+using RequestSource =
+    std::function<std::function<std::optional<KvRequest>()>()>;
+
+/**
+ * When a reliable run measures and stops: responses that arrive in
+ * [measureStart, measureEnd) count toward throughput and RTT; the
+ * server, both endpoints and every receiver stop at runUntil; and a
+ * request due once either has passed is not sent.
+ */
+struct ReliableClock
+{
+    sim::Tick measureStart = 0;
+    sim::Tick measureEnd = 0;
+    sim::Tick runUntil = 0;
+};
+
+/**
+ * Reliable KV run over caller-owned endpoints, fed by @p sources:
+ * starts a KV server with @p kv and Rng(@p server_seed) over
+ * @p server_ep, opens one connection per source from @p client_ep
+ * (flow id 0x5eed + its index), sends each source's requests with
+ * deduplicated responses, and simulates to the clock's runUntil. If
+ * @p before_run is set it is invoked — after both endpoints have been
+ * started but before the simulation runs — with runUntil, so callers
+ * can arm watchdogs or chaos schedules against the same deadline (see
+ * workload/chaos.hh). offeredMops is left 0.
+ */
+ReliableClientServerResult runReliableClients(
+    sim::Simulator &sim, mem::CoherentSystem &server_mem,
+    transport::Endpoint &server_ep, transport::Endpoint &client_ep,
+    std::uint32_t server_addr, const apps::KvConfig &kv,
+    std::uint64_t server_seed, const ReliableClock &clock,
+    const std::vector<RequestSource> &sources,
+    const RequestHook &on_request = nullptr,
     const std::function<void(sim::Tick run_until)> &before_run =
         nullptr);
 
