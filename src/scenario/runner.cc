@@ -129,7 +129,7 @@ kvConfigFor(const WorkloadSpec &w)
 /** "scenario" identity section shared by every run mode. */
 void
 addScenarioSection(stats::JsonReport &json, const ScenarioSpec &spec,
-                   const char *mode)
+                   const std::string &mode)
 {
     stats::Table t({"name", "platform", "mode", "file"});
     t.row().cell(spec.name).cell(spec.platform).cell(mode)
@@ -222,14 +222,6 @@ runReplay(const ScenarioSpec &spec, FabricRun &run,
     out.kv = workload::runReliableClients(
         run.simv, server.system, server_ep, client_ep,
         run.addr(r.server), kv, r.seed, clock, sources);
-    out.ranReplay = true;
-    out.replayOps = records.size();
-    out.replaySent = out.kv.requestsSent;
-    out.replayResponses = out.kv.responses;
-    out.replayLost = out.kv.lostRequests;
-    out.replayDuplicates = out.kv.duplicateResponses;
-    out.replayRttP50Ns = out.kv.rttP50Ns;
-    out.replayRttP99Ns = out.kv.rttP99Ns;
 
     stats::Table t({"trace_ops", "sent", "responses", "lost",
                     "duplicates", "rtt_p50_ns", "rtt_p99_ns",
@@ -282,23 +274,20 @@ runKv(const ScenarioSpec &spec, FabricRun &run, ScenarioOutcome &out)
             *client.nic, run.fabric, server_addr,
             run.addr(w.client), cfg, chaos);
         out.kv = out.chaos.kv;
-        out.ranChaos = true;
     } else if (w.reliable) {
         out.kv = workload::runKvClientServerReliable(
             run.simv, server.system, *server.nic, client.system,
             *client.nic, server_addr, cfg);
-        out.ranReliable = true;
     } else {
         out.raw = workload::runKvClientServer(
             run.simv, server.system, *server.nic, client.system,
             *client.nic, server_addr, cfg);
-        out.ranRaw = true;
     }
 
     if (!w.captureFile.empty())
         saveTrace(w.captureFile, out.captured);
 
-    if (out.ranRaw) {
+    if (out.mode == "kv_raw") {
         stats::Table t({"offered_Mops", "sent", "responses",
                         "achieved_Mops", "gbps_in", "rtt_p50_ns",
                         "rtt_p99_ns", "tx_backpressure"});
@@ -319,7 +308,7 @@ runKv(const ScenarioSpec &spec, FabricRun &run, ScenarioOutcome &out)
             .cell(out.kv.rttP50Ns, 0).cell(out.kv.rttP99Ns, 0);
         out.json.add("results", t);
     }
-    if (out.ranChaos) {
+    if (out.mode == "chaos") {
         const workload::ChaosKvResult &c = out.chaos;
         stats::Table ct({"wedges", "flaps", "bursts", "recoveries",
                          "device_resets", "recovery_p50_ns",
@@ -361,7 +350,6 @@ runSweep(const ScenarioSpec &spec, ScenarioOutcome &out)
                 .cell(minLatencyNs(factory, size), 1);
         }
     }
-    out.ranSweep = true;
     out.json.add("results", t);
 }
 
@@ -407,16 +395,13 @@ runScenario(const ScenarioSpec &spec, bool quiet)
         }
     } prof_restore{prev_prof};
 
-    const char *mode = spec.sweep.present ? "sweep"
-                       : spec.replay.present
-                           ? "replay"
-                           : spec.faults.present
-                                 ? "chaos"
-                                 : spec.workload.reliable
-                                       ? "kv_reliable"
-                                       : "kv_raw";
+    out.mode = spec.sweep.present      ? "sweep"
+               : spec.replay.present   ? "replay"
+               : spec.faults.present   ? "chaos"
+               : spec.workload.reliable ? "kv_reliable"
+                                        : "kv_raw";
     if (!quiet) {
-        stats::banner("scenario '" + spec.name + "' (" + mode +
+        stats::banner("scenario '" + spec.name + "' (" + out.mode +
                       ", platform " + spec.platform + ")");
     }
 
@@ -431,7 +416,7 @@ runScenario(const ScenarioSpec &spec, bool quiet)
         out.json.add("ports", portsTable(run));
     }
 
-    addScenarioSection(out.json, spec, mode);
+    addScenarioSection(out.json, spec, out.mode);
     addObsSections(out.json);
 
     if (!quiet) {

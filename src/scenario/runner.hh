@@ -11,7 +11,7 @@
 #ifndef CCN_SCENARIO_RUNNER_HH
 #define CCN_SCENARIO_RUNNER_HH
 
-#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "scenario/ast.hh"
@@ -29,29 +29,14 @@ struct ScenarioOutcome
     /// standard counters/latency/timeseries sections.
     stats::JsonReport json{"scenario"};
 
-    /// @name Which runner path executed (exactly one is true).
-    /// @{
-    bool ranRaw = false;
-    bool ranReliable = false;
-    bool ranChaos = false;
-    bool ranReplay = false;
-    bool ranSweep = false;
-    /// @}
+    /// Which runner path executed, as the banner and the "scenario"
+    /// section name it: "kv_raw", "kv_reliable", "chaos", "replay" or
+    /// "sweep".
+    std::string mode;
 
-    workload::ClientServerResult raw;           ///< When ranRaw.
-    workload::ReliableClientServerResult kv;    ///< Reliable or chaos.
-    workload::ChaosKvResult chaos;              ///< When ranChaos.
-
-    /// @name Replay accounting (when ranReplay).
-    /// @{
-    std::uint64_t replayOps = 0;       ///< Records in the trace.
-    std::uint64_t replaySent = 0;      ///< Accepted by send().
-    std::uint64_t replayResponses = 0; ///< Deduplicated responses.
-    std::uint64_t replayLost = 0;
-    std::uint64_t replayDuplicates = 0;
-    double replayRttP50Ns = 0;
-    double replayRttP99Ns = 0;
-    /// @}
+    workload::ClientServerResult raw;        ///< kv_raw.
+    workload::ReliableClientServerResult kv; ///< kv_reliable, chaos, replay.
+    workload::ChaosKvResult chaos;           ///< chaos.
 
     /// Requests recorded when the workload declared a capture file
     /// (also written to that file).

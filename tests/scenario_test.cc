@@ -332,7 +332,7 @@ TEST(ScenarioRun, ReliableKvOverCcNic)
 {
     const auto out =
         scenario::runScenario(parse(kvScenario("ccnic", "")), true);
-    EXPECT_TRUE(out.ranReliable);
+    EXPECT_EQ(out.mode, "kv_reliable");
     EXPECT_GT(out.kv.requestsSent, 0u);
     EXPECT_EQ(out.kv.lostRequests, 0u);
     EXPECT_EQ(out.kv.retransmits, 0u);
@@ -345,7 +345,7 @@ TEST(ScenarioRun, ReliableKvOverPio)
     // end-to-end over PIO message-register NICs on the fabric.
     const auto out =
         scenario::runScenario(parse(kvScenario("pio", "")), true);
-    EXPECT_TRUE(out.ranReliable);
+    EXPECT_EQ(out.mode, "kv_reliable");
     EXPECT_GT(out.kv.requestsSent, 0u);
     EXPECT_EQ(out.kv.lostRequests, 0u);
     EXPECT_EQ(out.kv.responses, out.kv.requestsSent);
@@ -371,20 +371,19 @@ TEST(ScenarioRun, CaptureThenReplayPreservesOps)
               "server_threads 2; objects 4096; drain_us 1000; "
               "min_rto_us 50; }\n"),
         true);
-    EXPECT_TRUE(replay.ranReplay);
-    // The replayed run carries the same op count as the live run and
-    // loses nothing.
-    EXPECT_EQ(replay.replayOps, live.kv.requestsSent);
-    EXPECT_EQ(replay.replaySent, replay.replayOps);
-    EXPECT_EQ(replay.replayResponses, replay.replayOps);
-    EXPECT_EQ(replay.replayLost, 0u);
+    EXPECT_EQ(replay.mode, "replay");
+    // The replayed run sends every op the live run sent and loses
+    // nothing.
+    EXPECT_EQ(replay.kv.requestsSent, live.kv.requestsSent);
+    EXPECT_EQ(replay.kv.responses, live.kv.requestsSent);
+    EXPECT_EQ(replay.kv.lostRequests, 0u);
     // Exact replay output, pinned so a change to the replay path
     // that claims identical output is checked.
-    EXPECT_EQ(replay.replaySent, 78u);
-    EXPECT_EQ(replay.replayResponses, 78u);
-    EXPECT_EQ(replay.replayDuplicates, 0u);
-    EXPECT_DOUBLE_EQ(replay.replayRttP50Ns, 4685.824);
-    EXPECT_DOUBLE_EQ(replay.replayRttP99Ns, 8797.776);
+    EXPECT_EQ(replay.kv.requestsSent, 78u);
+    EXPECT_EQ(replay.kv.responses, 78u);
+    EXPECT_EQ(replay.kv.duplicateResponses, 0u);
+    EXPECT_DOUBLE_EQ(replay.kv.rttP50Ns, 4685.824);
+    EXPECT_DOUBLE_EQ(replay.kv.rttP99Ns, 8797.776);
     std::remove(trace.c_str());
 }
 
@@ -406,13 +405,13 @@ TEST(ScenarioRun, ReplayMaxRateCompletes)
               "client client; pacing max; objects 64; "
               "drain_us 1000; min_rto_us 50; }\n"),
         true);
-    EXPECT_EQ(out.replayOps, 64u);
-    EXPECT_EQ(out.replayResponses, 64u);
-    EXPECT_EQ(out.replayLost, 0u);
-    EXPECT_EQ(out.replaySent, 64u);
-    EXPECT_EQ(out.replayDuplicates, 0u);
-    EXPECT_DOUBLE_EQ(out.replayRttP50Ns, 15794.176);
-    EXPECT_DOUBLE_EQ(out.replayRttP99Ns, 19791.872);
+    EXPECT_EQ(out.mode, "replay");
+    EXPECT_EQ(out.kv.requestsSent, 64u);
+    EXPECT_EQ(out.kv.responses, 64u);
+    EXPECT_EQ(out.kv.lostRequests, 0u);
+    EXPECT_EQ(out.kv.duplicateResponses, 0u);
+    EXPECT_DOUBLE_EQ(out.kv.rttP50Ns, 15794.176);
+    EXPECT_DOUBLE_EQ(out.kv.rttP99Ns, 19791.872);
     std::remove(trace.c_str());
 }
 
@@ -432,7 +431,7 @@ TEST(ScenarioRun, ChaosScheduleRecovers)
               "link_flaps 1; flap_down_us 5; loss_bursts 1; "
               "burst_drops 4; }\n"),
         true);
-    EXPECT_TRUE(out.ranChaos);
+    EXPECT_EQ(out.mode, "chaos");
     EXPECT_EQ(out.chaos.wedgesInjected, 1u);
     EXPECT_EQ(out.chaos.recoveries, 1u);
     EXPECT_EQ(out.kv.lostRequests, 0u);
@@ -446,7 +445,7 @@ TEST(ScenarioRun, SweepProducesLatencyTable)
         parse("sweep smallmsg { interfaces ccnic pio; sizes 64; "
               "queues 1; }"),
         true);
-    EXPECT_TRUE(out.ranSweep);
+    EXPECT_EQ(out.mode, "sweep");
     const auto &sections = out.json.sections();
     ASSERT_FALSE(sections.empty());
     EXPECT_EQ(sections[0].first, "results");
