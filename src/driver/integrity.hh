@@ -46,37 +46,31 @@ struct IntegrityTelemetry
 class IntegrityGuard
 {
   public:
-    struct Config
-    {
-        int maxRetries = 8; ///< Poison read retries before faulting.
-        sim::Tick retryDelay = sim::fromNs(500); ///< Between retries.
-    };
+    static constexpr int kMaxRetries = 8; ///< Poison re-reads.
+    static constexpr sim::Tick kRetryDelay = sim::fromNs(500);
 
     explicit IntegrityGuard(mem::CoherentSystem &mem)
         : mem_(mem)
     {}
 
-    IntegrityGuard(mem::CoherentSystem &mem, const Config &cfg)
-        : mem_(mem), cfg_(cfg)
-    {}
-
     /**
      * Poison-aware read guard over [addr, addr+bytes). Retries up to
-     * maxRetries times while the range reads as poisoned. Returns
-     * true once the range reads clean; false on a persistent fault.
+     * kMaxRetries times, kRetryDelay apart, while the range reads as
+     * poisoned. Returns true once the range reads clean; false on a
+     * persistent fault.
      */
     sim::Coro<bool>
     guardRange(mem::Addr addr, std::uint32_t bytes)
     {
         if (!mem_.faultsArmed() || !mem_.rangePoisoned(addr, bytes))
             co_return true;
-        for (int i = 0; i < cfg_.maxRetries; ++i) {
+        for (int i = 0; i < kMaxRetries; ++i) {
             retries_++;
             telem_.poisonRetries++;
             obs::tracepoint(obs::EventKind::Custom,
                             "integrity.poison_retry",
                             mem_.simulator().now(), addr);
-            co_await mem_.simulator().delay(cfg_.retryDelay);
+            co_await mem_.simulator().delay(kRetryDelay);
             if (!mem_.rangePoisoned(addr, bytes))
                 co_return true;
         }
@@ -115,7 +109,6 @@ class IntegrityGuard
 
   private:
     mem::CoherentSystem &mem_;
-    Config cfg_;
     IntegrityTelemetry telem_;
     std::uint64_t retries_ = 0;
     std::uint64_t faults_ = 0;

@@ -6,6 +6,21 @@
 
 namespace ccn::driver {
 
+namespace {
+
+constexpr sim::Tick kCheckInterval = sim::fromUs(5.0); ///< Poll period.
+constexpr int kMissedBeats = 3; ///< Silent checks before a failure.
+constexpr int kStallChecks = 4; ///< Stalled checks before a failure.
+
+/// Reset-storm guard: the first recovery is immediate, each
+/// subsequent one waits kBackoffBase * kBackoffFactor^k (capped at
+/// kBackoffMax) since the last; a healthy check clears the ladder.
+constexpr sim::Tick kBackoffBase = sim::fromUs(10.0);
+constexpr double kBackoffFactor = 2.0;
+constexpr sim::Tick kBackoffMax = sim::fromUs(200.0);
+
+} // namespace
+
 Watchdog::Watchdog(sim::Simulator &sim, NicInterface &nic,
                    const WatchdogConfig &config)
     : sim_(sim), nic_(nic), cfg_(config),
@@ -54,11 +69,11 @@ Watchdog::recover()
     // exponentially growing window (a healthy check clears it).
     currentBackoff_ =
         currentBackoff_ == 0
-            ? cfg_.backoffBase
-            : std::min(cfg_.backoffMax,
+            ? kBackoffBase
+            : std::min(kBackoffMax,
                        static_cast<sim::Tick>(
                            static_cast<double>(currentBackoff_) *
-                           cfg_.backoffFactor));
+                           kBackoffFactor));
     nextRecoverAllowed_ = sim_.now() + currentBackoff_;
     recovering_ = false;
     co_return;
@@ -88,7 +103,7 @@ sim::Task
 Watchdog::monitorTask()
 {
     while (sim_.now() < runUntil_) {
-        co_await sim_.delay(cfg_.checkInterval);
+        co_await sim_.delay(kCheckInterval);
         if (sim_.now() >= runUntil_)
             break;
         if (failed_)
@@ -121,7 +136,7 @@ Watchdog::monitorTask()
 
         if (beat == lastBeat_) {
             stats_.missedBeats++;
-            if (++silentChecks_ >= cfg_.missedBeats)
+            if (++silentChecks_ >= kMissedBeats)
                 failed = true;
         } else {
             silentChecks_ = 0;
@@ -138,7 +153,7 @@ Watchdog::monitorTask()
             // device can see and still fails to consume is a stall.
             if (h.txOutstanding > h.txHeldInBatch &&
                 h.txCompleted == lastCompleted_[qi]) {
-                if (++stalledChecks_[qi] >= cfg_.stallChecks) {
+                if (++stalledChecks_[qi] >= kStallChecks) {
                     stats_.ringStalls++;
                     if (!failed) {
                         failed = true;
@@ -159,26 +174,22 @@ Watchdog::monitorTask()
                             static_cast<std::uint64_t>(kind));
             if (failureCb_)
                 failureCb_(kind);
-            if (cfg_.autoRecover) {
-                // Reset-storm backoff: a re-failure inside the window
-                // waits for the next check instead of resetting again.
-                if (sim_.now() < nextRecoverAllowed_)
-                    continue;
-                // Fail-over budget: too many resets inside the window
-                // means resetting is not fixing the device.
-                if (cfg_.resetBudget > 0) {
-                    while (!resetTimes_.empty() &&
-                           resetTimes_.front() + cfg_.budgetWindow <=
-                               sim_.now())
-                        resetTimes_.pop_front();
-                    if (static_cast<int>(resetTimes_.size()) >=
-                        cfg_.resetBudget) {
-                        co_await failover();
-                        co_return;
-                    }
+            // Reset-storm backoff: a re-failure inside the window
+            // waits for the next check instead of resetting again.
+            if (sim_.now() < nextRecoverAllowed_)
+                continue;
+            // Fail-over budget: too many resets inside the window
+            // means resetting is not fixing the device.
+            if (cfg_.resetBudget > 0) {
+                while (!resetTimes_.empty() &&
+                       resetTimes_.front() + cfg_.budgetWindow <= sim_.now())
+                    resetTimes_.pop_front();
+                if (static_cast<int>(resetTimes_.size()) >= cfg_.resetBudget) {
+                    co_await failover();
+                    co_return;
                 }
-                co_await recover();
             }
+            co_await recover();
         }
     }
     co_return;

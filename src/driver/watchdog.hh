@@ -9,10 +9,10 @@
  * watchdog declares failure on either of two signals:
  *
  *  - Missed heartbeats: the device beat value has not advanced for
- *    `missedBeats` consecutive checks.
+ *    3 consecutive checks (one every 5 us).
  *  - Ring stall: a queue's txCompleted count has not advanced for
- *    `stallChecks` consecutive checks while descriptors are
- *    outstanding (head parked with work pending).
+ *    4 consecutive checks while descriptors are outstanding (head
+ *    parked with work pending).
  *
  * On failure it runs the device lifecycle — quiesce(), reset(),
  * reinit() — and records the recovery latency. Callbacks let the
@@ -63,18 +63,6 @@ enum class FailureKind : std::uint8_t
 /** Watchdog tuning knobs. */
 struct WatchdogConfig
 {
-    sim::Tick checkInterval = sim::fromUs(5.0); ///< Poll period.
-    int missedBeats = 3;  ///< Silent checks before declaring failure.
-    int stallChecks = 4;  ///< Stalled checks before declaring failure.
-    bool autoRecover = true; ///< Run quiesce/reset/reinit on failure.
-
-    /// Reset-storm guard: the first recovery is immediate, each
-    /// subsequent one waits backoffBase * backoffFactor^k (capped at
-    /// backoffMax) since the last; a healthy check clears the ladder.
-    sim::Tick backoffBase = sim::fromUs(10.0);
-    double backoffFactor = 2.0;
-    sim::Tick backoffMax = sim::fromUs(200.0);
-
     /// Fail-over budget: more than resetBudget resets inside
     /// budgetWindow declares the device permanently failed. 0 keeps
     /// resetting forever (no fail-over).

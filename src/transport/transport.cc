@@ -15,6 +15,16 @@ using driver::PacketBuf;
 using driver::TransportHeader;
 using sim::Tick;
 
+namespace {
+
+/// Granularity of the retransmission scan (the "timer wheel" spoke
+/// interval); deadlines are rounded up to the next tick.
+constexpr Tick kTimerTick = sim::fromUs(2.0);
+
+constexpr std::uint32_t kAckBytes = 16; ///< Wire size of a pure ACK frame.
+
+} // namespace
+
 // ---------------------------------------------------------------------------
 // Connection
 
@@ -127,7 +137,7 @@ Connection::recv(Segment *out, Tick deadline)
         state_ == State::Open) {
         advertisedZero_ = false;
         ep_.stats_.acksSent++;
-        co_await ep_.xmit(*this, kTpAck, 0, ep_.cfg_.ackBytes, 0, 0);
+        co_await ep_.xmit(*this, kTpAck, 0, kAckBytes, 0, 0);
     }
     co_return true;
 }
@@ -195,7 +205,7 @@ Endpoint::connect(std::uint32_t remote_addr, std::uint64_t flow_id)
     c->state_ = Connection::State::Connecting;
     c->rtxDeadline_ = sim_.now() + c->rto_;
 
-    co_await xmit(*c, kTpSyn, 0, cfg_.ackBytes, 0, 0);
+    co_await xmit(*c, kTpSyn, 0, kAckBytes, 0, 0);
     while (c->state_ == Connection::State::Connecting)
         co_await c->sendGate_.wait();
     co_return c;
@@ -286,7 +296,7 @@ Endpoint::handleSyn(int q, const PacketBuf &buf)
             acceptCb_(c);
     }
     // SYN (or a duplicate after a lost SYN-ACK): (re)announce.
-    co_await xmit(*c, kTpSynAck | kTpAck, 0, cfg_.ackBytes, 0, 0);
+    co_await xmit(*c, kTpSynAck | kTpAck, 0, kAckBytes, 0, 0);
     co_return;
 }
 
@@ -384,7 +394,7 @@ Endpoint::handleData(Connection &c, const TransportHeader &h,
         c.rxGate_.notifyAll();
     }
     stats_.acksSent++;
-    co_await xmit(c, kTpAck, 0, cfg_.ackBytes, 0, 0);
+    co_await xmit(c, kTpAck, 0, kAckBytes, 0, 0);
     co_return;
 }
 
@@ -491,7 +501,7 @@ Endpoint::onTimer(Connection &c)
         stats_.timeouts++;
         c.rto_ = std::min(c.rto_ * 2, cfg_.maxRto);
         c.rtxDeadline_ = now + c.rto_;
-        co_await xmit(c, kTpSyn, 0, cfg_.ackBytes, 0, 0);
+        co_await xmit(c, kTpSyn, 0, kAckBytes, 0, 0);
         co_return;
     }
 
@@ -524,7 +534,7 @@ Endpoint::abort(Connection &c, bool send_rst)
     c.sendGate_.notifyAll();
     c.rxGate_.notifyAll();
     if (send_rst && c.peerConn_ != 0)
-        co_await xmit(c, kTpRst, 0, cfg_.ackBytes, 0, 0);
+        co_await xmit(c, kTpRst, 0, kAckBytes, 0, 0);
     co_return;
 }
 
@@ -589,7 +599,7 @@ Endpoint::resyncTask()
         if (c.state_ == Connection::State::Connecting) {
             // The SYN (or its SYN-ACK) died with the device.
             c.rtxDeadline_ = sim_.now() + c.rto_;
-            co_await xmit(c, kTpSyn, 0, cfg_.ackBytes, 0, 0);
+            co_await xmit(c, kTpSyn, 0, kAckBytes, 0, 0);
             continue;
         }
 
@@ -625,7 +635,7 @@ Endpoint::resyncTask()
             // on credits or re-sending into the void: refresh our
             // ack/SACK/credit state unprompted.
             stats_.acksSent++;
-            co_await xmit(c, kTpAck, 0, cfg_.ackBytes, 0, 0);
+            co_await xmit(c, kTpAck, 0, kAckBytes, 0, 0);
         }
         c.sendGate_.notifyAll();
     }
@@ -636,7 +646,7 @@ sim::Task
 Endpoint::timerTask()
 {
     while (sim_.now() < runUntil_) {
-        co_await sim_.delay(cfg_.timerTick);
+        co_await sim_.delay(kTimerTick);
         // Index loop: connections can be accepted mid-scan.
         for (std::size_t i = 0; i < conns_.size(); ++i)
             co_await onTimer(*conns_[i]);

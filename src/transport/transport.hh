@@ -102,14 +102,8 @@ struct TransportConfig
     sim::Tick maxRto = sim::fromUs(100.0); ///< RTO upper clamp.
     sim::Tick initialRto = sim::fromUs(25.0); ///< Before any RTT sample.
 
-    /// Granularity of the retransmission scan (the "timer wheel"
-    /// spoke interval); deadlines are rounded up to the next tick.
-    sim::Tick timerTick = sim::fromUs(2.0);
-
     /// Consecutive no-progress timeouts before the connection aborts.
     int maxRetries = 10;
-
-    std::uint32_t ackBytes = 16; ///< Wire size of a pure ACK frame.
 
     /// Initial sequence number for both directions of every
     /// connection (both endpoints must agree — the handshake does not

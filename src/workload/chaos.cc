@@ -8,6 +8,40 @@ namespace ccn::workload {
 
 using sim::Tick;
 
+namespace {
+
+/// How long each memory-chaos event lasts. The poison window is
+/// outlasted by the IntegrityGuard retry budget; the stuck window
+/// exceeds the Watchdog's ring-stall horizon (4 checks 5 us apart),
+/// so a stuck signal line is seen as a ring stall and escalates to a
+/// hot-reset.
+constexpr Tick kPoisonHold = sim::fromUs(2.0);
+constexpr Tick kTornHold = sim::fromUs(2.0);
+constexpr Tick kStuckHold = sim::fromUs(40.0);
+constexpr Tick kBrownoutHold = sim::fromUs(20.0);
+
+/** Quiesce+reset half of the teardown audit; leaves the device Down
+ *  so the leak audit runs with every engine parked. */
+sim::Task
+teardownSweep(driver::NicInterface &nic, bool *done)
+{
+    co_await nic.quiesce();
+    co_await nic.reset();
+    *done = true;
+    co_return;
+}
+
+/** Revive half: bring the swept device back for liveness checks. */
+sim::Task
+teardownRevive(driver::NicInterface &nic, bool *done)
+{
+    co_await nic.reinit();
+    *done = true;
+    co_return;
+}
+
+} // namespace
+
 ChaosSchedule::ChaosSchedule(sim::Simulator &sim,
                              const ChaosConfig &cfg, ChaosHooks hooks)
     : sim_(sim), cfg_(cfg), hooks_(std::move(hooks))
@@ -113,7 +147,7 @@ ChaosSchedule::replayTask(Tick run_until)
         case ChaosKind::MemPoison:
             if (!hooks_.poison)
                 break;
-            hooks_.poison(cfg_.poisonHold);
+            hooks_.poison(kPoisonHold);
             poisons_++;
             obs::tracepoint(obs::EventKind::Custom, "chaos.mem_poison",
                             sim_.now(), poisons_.value());
@@ -122,7 +156,7 @@ ChaosSchedule::replayTask(Tick run_until)
         case ChaosKind::MemTorn:
             if (!hooks_.torn)
                 break;
-            hooks_.torn(cfg_.tornHold);
+            hooks_.torn(kTornHold);
             torns_++;
             obs::tracepoint(obs::EventKind::Custom, "chaos.mem_torn",
                             sim_.now(), torns_.value());
@@ -135,7 +169,7 @@ ChaosSchedule::replayTask(Tick run_until)
             // until the Watchdog hot-resets — so it starts the
             // recovery-latency clock the same way.
             lastWedgeAt_ = sim_.now();
-            hooks_.stuck(cfg_.stuckHold);
+            hooks_.stuck(kStuckHold);
             stucks_++;
             obs::tracepoint(obs::EventKind::Custom, "chaos.mem_stuck",
                             sim_.now(), stucks_.value());
@@ -144,7 +178,7 @@ ChaosSchedule::replayTask(Tick run_until)
         case ChaosKind::MemBrownout:
             if (!hooks_.brownout)
                 break;
-            hooks_.brownout(cfg_.brownoutFactor, cfg_.brownoutHold);
+            hooks_.brownout(cfg_.brownoutFactor, kBrownoutHold);
             brownouts_++;
             obs::tracepoint(obs::EventKind::Custom,
                             "chaos.mem_brownout", sim_.now(),
@@ -154,30 +188,6 @@ ChaosSchedule::replayTask(Tick run_until)
     }
     co_return;
 }
-
-namespace {
-
-/** Quiesce+reset half of the teardown audit; leaves the device Down
- *  so the leak audit runs with every engine parked. */
-sim::Task
-teardownSweep(driver::NicInterface &nic, bool *done)
-{
-    co_await nic.quiesce();
-    co_await nic.reset();
-    *done = true;
-    co_return;
-}
-
-/** Revive half: bring the swept device back for liveness checks. */
-sim::Task
-teardownRevive(driver::NicInterface &nic, bool *done)
-{
-    co_await nic.reinit();
-    *done = true;
-    co_return;
-}
-
-} // namespace
 
 ChaosKvResult
 runKvClientServerChaos(sim::Simulator &sim,

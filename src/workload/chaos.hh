@@ -65,15 +65,6 @@ struct ChaosConfig
     int torns = 0;      ///< Torn-visibility windows.
     int stuckLines = 0; ///< Stuck-invalidation windows.
     int brownouts = 0;  ///< Interconnect brownouts on the host agent.
-    sim::Tick poisonHold = sim::fromUs(2.0); ///< Poison window; the
-                                             ///< IntegrityGuard retry
-                                             ///< budget outlasts it.
-    sim::Tick tornHold = sim::fromUs(2.0);   ///< Torn window.
-    /// Stuck window. Must exceed the Watchdog stall horizon
-    /// (stallChecks * checkInterval) so a stuck signal line is seen
-    /// as a ring stall and escalates to a hot-reset.
-    sim::Tick stuckHold = sim::fromUs(40.0);
-    sim::Tick brownoutHold = sim::fromUs(20.0); ///< Brownout window.
     double brownoutFactor = 4.0; ///< Coherence-op stretch factor.
 
     /// Aim the schedule (and the Watchdog) at the server NIC instead
