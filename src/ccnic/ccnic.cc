@@ -25,7 +25,7 @@ sizePool(CcNicConfig &cfg)
 {
     const std::uint32_t q = static_cast<std::uint32_t>(cfg.numQueues);
     const std::uint32_t per_q =
-        cfg.ringEntries * 2 + 2 * cfg.pool.recycleDepth + 256;
+        cfg.ringEntries * 2 + 2 * driver::kRecycleDepth + 256;
     cfg.pool.largeCount = std::max<std::uint32_t>(2048, q * per_q);
     cfg.pool.smallCount = std::max<std::uint32_t>(8192, q * per_q);
     cfg.pool.stripes = cfg.numQueues;
@@ -621,7 +621,7 @@ CcNic::nicRxTask(int q)
             // buffers, still in the NIC cache (§3.3).
             std::vector<PacketBuf *> out(batch.size(), nullptr);
             const std::uint32_t small_cap =
-                cfg_.pool.smallBuffers ? cfg_.pool.smallBufBytes : 0;
+                cfg_.pool.smallBuffers ? driver::kSmallBufBytes : 0;
             for (int pass = 0; pass < 2; ++pass) {
                 std::vector<std::size_t> want;
                 for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -50,19 +50,18 @@ Mempool::Mempool(mem::CoherentSystem &mem_system,
         const mem::Addr small_base =
             mem_.alloc(cfg_.homeSocket,
                        static_cast<std::uint64_t>(cfg_.smallCount) *
-                           cfg_.smallBufBytes,
+                           kSmallBufBytes,
                        cfg_.largeBufBytes);
         profRegions_.push_back(mem_.profiler().registerRegion(
             "pool.bufs_small", small_base,
-            static_cast<std::uint64_t>(cfg_.smallCount) *
-                cfg_.smallBufBytes,
+            static_cast<std::uint64_t>(cfg_.smallCount) * kSmallBufBytes,
             obs::RegionIntent::Owned));
         smallBufs_.resize(cfg_.smallCount);
         for (std::uint32_t i = 0; i < cfg_.smallCount; ++i) {
             PacketBuf &b = smallBufs_[i];
             b.addr = small_base +
-                     static_cast<std::uint64_t>(i) * cfg_.smallBufBytes;
-            b.capacity = cfg_.smallBufBytes;
+                     static_cast<std::uint64_t>(i) * kSmallBufBytes;
+            b.capacity = kSmallBufBytes;
             b.cls = BufClass::Small;
             b.poolIndex = i;
         }
@@ -132,7 +131,7 @@ Mempool::~Mempool()
 BufClass
 Mempool::classFor(std::uint32_t size_hint) const
 {
-    if (cfg_.smallBuffers && size_hint <= cfg_.smallBufBytes &&
+    if (cfg_.smallBuffers && size_hint <= kSmallBufBytes &&
         !smallBufs_.empty()) {
         return BufClass::Small;
     }
@@ -157,10 +156,10 @@ Mempool::recycleFor(mem::AgentId agent, BufClass cls)
     RecycleState &rc = recycle_[recycleKey(agent, cls)];
     if (rc.localMem == 0) {
         const std::uint64_t bytes =
-            static_cast<std::uint64_t>(cfg_.recycleDepth) * 8;
+            static_cast<std::uint64_t>(kRecycleDepth) * 8;
         rc.localMem = mem_.alloc(mem_.agentSocket(agent), bytes,
                                  mem::kLineBytes);
-        rc.stack.reserve(cfg_.recycleDepth);
+        rc.stack.reserve(kRecycleDepth);
         profRegions_.push_back(mem_.profiler().registerRegion(
             "pool.recycle", rc.localMem, bytes,
             obs::RegionIntent::Owned));
@@ -285,7 +284,7 @@ Mempool::freeBurst(mem::AgentId agent, PacketBuf **bufs, int count,
             stateOf(cls).stripes.size()];
         if (cfg_.recycleCache) {
             RecycleState &rc = recycleFor(agent, cls);
-            if (rc.stack.size() < cfg_.recycleDepth) {
+            if (rc.stack.size() < kRecycleDepth) {
                 rc.stack.push_back(b->poolIndex);
                 any_recycled = true;
                 continue;

@@ -51,11 +51,15 @@ struct PoolTelemetry
     obs::LabeledCounter allocsByStripe{"pool.allocs", "queue"};
 };
 
+/// Capacity of a small-class buffer (§3.3 small-buffer subdivision).
+inline constexpr std::uint32_t kSmallBufBytes = 128;
+/// Capacity of each agent's recycling stack (§3.3).
+inline constexpr std::uint32_t kRecycleDepth = 128;
+
 /** Pool construction parameters and optimization toggles. */
 struct MempoolConfig
 {
     std::uint32_t largeBufBytes = 4096;
-    std::uint32_t smallBufBytes = 128;
     std::uint32_t largeCount = 2048;
     std::uint32_t smallCount = 8192;
 
@@ -64,7 +68,6 @@ struct MempoolConfig
     bool recycleCache = true;     ///< §3.3 per-side recycling stacks.
     bool sharedAccess = false;    ///< §3.4 NIC may alloc/free (atomics).
 
-    std::uint32_t recycleDepth = 128; ///< Per-agent stack capacity.
     int homeSocket = 0;
 
     /// Partition the global free ring into per-queue stripes (the

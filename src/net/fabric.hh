@@ -86,9 +86,7 @@ struct PortCounters
 class Fabric
 {
   public:
-    explicit Fabric(sim::Simulator &sim, const SwitchConfig &sw = {})
-        : sim_(sim), switch_(sim, sw)
-    {}
+    explicit Fabric(sim::Simulator &sim) : sim_(sim), switch_(sim) {}
 
     /**
      * Attach a NIC as a fabric port with the given per-direction link

@@ -8,6 +8,17 @@ namespace ccn::net {
 
 using sim::Tick;
 
+namespace {
+
+/// Per-frame wire overhead (Ethernet preamble + FCS + IFG).
+constexpr std::uint32_t kFramingBytes = 24;
+
+/// A held (reordered) packet flushes after this even if nothing
+/// overtakes it, so a tail packet is delayed, not lost.
+constexpr Tick kReorderHold = sim::fromUs(2.0);
+
+} // namespace
+
 Link::Link(sim::Simulator &sim, const LinkConfig &cfg, std::string name)
     : sim_(sim), cfg_(cfg), name_(std::move(name)), queue_(sim),
       faultRng_(cfg.faults.seed)
@@ -52,7 +63,7 @@ Link::drainTask()
         const WirePacket pkt = co_await queue_.get();
         const Tick exit =
             sim_.now() + sim::serializationTime(
-                             pkt.len + cfg_.framingBytes,
+                             pkt.len + kFramingBytes,
                              cfg_.bytesPerSec());
         co_await sim_.delayUntil(exit);
         stats_.txPackets++;
@@ -128,7 +139,7 @@ Link::arrive(WirePacket pkt)
         stats_.reorders++;
         held_ = pkt;
         const std::uint64_t gen = ++heldGen_;
-        sim_.scheduleCallback(sim_.now() + f.reorderHold, [this, gen] {
+        sim_.scheduleCallback(sim_.now() + kReorderHold, [this, gen] {
             if (held_ && heldGen_ == gen) {
                 const WirePacket flushed = *held_;
                 held_.reset();

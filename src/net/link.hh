@@ -50,10 +50,6 @@ struct FaultProfile
     double corruptRate = 0.0; ///< P(payload bit flip, FCS stale).
     std::uint64_t seed = 1;   ///< Per-link fault RNG seed.
 
-    /// Held (reordered) packets flush after this even if nothing
-    /// overtakes them, so a tail packet is delayed, not lost.
-    sim::Tick reorderHold = sim::fromUs(2.0);
-
     /// @name Link flapping. With both nonzero the link cycles
     /// upTime carrier / downTime dark; packets arriving while dark
     /// are lost (counted as downDrops).
@@ -78,9 +74,6 @@ struct LinkConfig
 
     /// Egress queue bound in packets; offers beyond it tail-drop.
     std::size_t queuePackets = 256;
-
-    /// Per-frame wire overhead (Ethernet preamble + FCS + IFG).
-    std::uint32_t framingBytes = 24;
 
     FaultProfile faults; ///< Fault injection (default: none).
 

@@ -2,10 +2,17 @@
 
 namespace ccn::net {
 
+namespace {
+
+constexpr sim::Tick kForwardLat = sim::fromNs(300.0); ///< Cut-through.
+
+} // namespace
+
 void
 Switch::ingress(int in_port, const WirePacket &pkt)
 {
-    if (cfg_.learning && pkt.src != 0)
+    // Learn src -> ingress-port mappings.
+    if (pkt.src != 0)
         table_.emplace(pkt.src, in_port);
 
     const auto it = table_.find(pkt.dst);
@@ -20,12 +27,8 @@ Switch::ingress(int in_port, const WirePacket &pkt)
 
     Link *out = ports_[static_cast<std::size_t>(it->second)];
     stats_.forwarded++;
-    if (cfg_.forwardLat == 0) {
-        out->send(pkt);
-    } else {
-        sim_.scheduleCallback(sim_.now() + cfg_.forwardLat,
-                              [out, pkt] { out->send(pkt); });
-    }
+    sim_.scheduleCallback(sim_.now() + kForwardLat,
+                          [out, pkt] { out->send(pkt); });
 }
 
 } // namespace ccn::net

@@ -7,8 +7,9 @@
  * static address/port table populated by bind(), augmented with
  * source-address learning on ingress. A packet whose destination is
  * unknown is dropped and counted rather than flooded, keeping
- * delivery deterministic. Forwarding charges a fixed cut-through
- * latency before the packet is offered to the egress port's queue.
+ * delivery deterministic. Forwarding charges a fixed 300 ns
+ * cut-through latency before the packet is offered to the egress
+ * port's queue.
  */
 
 #ifndef CCN_NET_SWITCH_HH
@@ -21,13 +22,6 @@
 #include "net/link.hh"
 
 namespace ccn::net {
-
-/** Switch parameters. */
-struct SwitchConfig
-{
-    sim::Tick forwardLat = sim::fromNs(300.0); ///< Cut-through latency.
-    bool learning = true; ///< Learn src → ingress-port mappings.
-};
 
 /** Per-switch counters (registry-backed, "net.switch.*"). */
 struct SwitchStats
@@ -44,9 +38,7 @@ struct SwitchStats
 class Switch
 {
   public:
-    Switch(sim::Simulator &sim, const SwitchConfig &cfg = {})
-        : sim_(sim), cfg_(cfg)
-    {}
+    explicit Switch(sim::Simulator &sim) : sim_(sim) {}
 
     /** Add a port whose egress is @p link. Returns the port number. */
     int
@@ -66,7 +58,6 @@ class Switch
 
   private:
     sim::Simulator &sim_;
-    SwitchConfig cfg_;
     std::vector<Link *> ports_;
     std::unordered_map<std::uint32_t, int> table_;
     SwitchStats stats_;

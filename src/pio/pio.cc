@@ -17,7 +17,7 @@ sizePool(Config &cfg)
 {
     const std::uint32_t q = static_cast<std::uint32_t>(cfg.numQueues);
     const std::uint32_t per_q =
-        cfg.numSlots * 2 + 2 * cfg.pool.recycleDepth + 256;
+        cfg.numSlots * 2 + 2 * driver::kRecycleDepth + 256;
     cfg.pool.largeCount = std::max<std::uint32_t>(2048, q * per_q);
     cfg.pool.smallCount = std::max<std::uint32_t>(8192, q * per_q);
     cfg.pool.stripes = cfg.numQueues;

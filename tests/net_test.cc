@@ -90,8 +90,7 @@ TEST(Link, TailDropsWhenQueueSaturates)
 TEST(Switch, ForwardsByTableAndDropsUnknown)
 {
     sim::Simulator simv;
-    net::SwitchConfig scfg;
-    net::Switch sw(simv, scfg);
+    net::Switch sw(simv);
 
     net::LinkConfig lcfg;
     net::Link out0(simv, lcfg), out1(simv, lcfg);

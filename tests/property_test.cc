@@ -536,7 +536,7 @@ TEST_P(PoolInvariants, NoDoubleAllocationAndFullConservation)
             pool.totalCount(driver::BufClass::Large);
         EXPECT_LE(seen.size(), total);
         // With recycling, up to 2 agents' stacks may retain buffers.
-        const std::size_t retained = 2 * cfg.recycleDepth;
+        const std::size_t retained = 2 * driver::kRecycleDepth;
         EXPECT_GE(seen.size(),
                   total > retained ? total - retained : 0);
         co_return;
