@@ -6,14 +6,41 @@ namespace ccn::pcie {
 
 using sim::Tick;
 
+namespace {
+
+/// Effective data rate per direction (PCIe 4.0 x16; the paper quotes
+/// a 252Gbps link).
+constexpr double kLinkBytesPerSec = sim::gbpsToBytesPerSec(252.0);
+
+/// Extra host-side latency for >32B (AVX512) MMIO reads; calibrated
+/// to the paper's 982ns (8B) vs 1026ns (64B) measurements.
+constexpr Tick kWideReadExtraLat = sim::fromNs(44.0);
+
+/// CPU-visible cost of a serialized UC store (one in flight).
+constexpr Tick kUcStoreCpuLat = sim::fromNs(95.0);
+
+/// Write-combining buffers per core (Figure 3 knee at N = 24).
+constexpr std::size_t kWcBuffers = 24;
+
+/// Cost of a WC store that hits an already-open buffer.
+constexpr Tick kWcFillLat = sim::fromNs(0.8);
+
+/// Root-complex accept pacing for pipelined full-line WC flushes.
+constexpr Tick kWcFullFlushPace = sim::fromNs(6.0);
+
+/// Drain latency an sfence observes after the last flush is issued.
+constexpr Tick kFenceDrainLat = sim::fromNs(55.0);
+
+} // namespace
+
 PcieLink::PcieLink(sim::Simulator &sim, const PcieParams &params,
                    mem::CoherentSystem &mem_system, int host_socket)
     : sim_(sim),
       params_(params),
       mem_(mem_system),
       hostSocket_(host_socket),
-      down_(sim, params.linkBytesPerSec),
-      up_(sim, params.linkBytesPerSec),
+      down_(sim, kLinkBytesPerSec),
+      up_(sim, kLinkBytesPerSec),
       dmaTags_(sim, static_cast<std::uint32_t>(params.dmaTags))
 {}
 
@@ -25,14 +52,10 @@ PcieLink::mmioUcRead(std::uint32_t bytes)
     Tick rtt = params_.hostToDevLat + params_.devProcLat +
                params_.devToHostLat;
     if (bytes > 32)
-        rtt += params_.wideReadExtraLat;
-    rtt += sim::serializationTime(
-        static_cast<std::uint64_t>(bytes * params_.tlpOverhead),
-        params_.linkBytesPerSec);
+        rtt += kWideReadExtraLat;
+    rtt += sim::serializationTime(tlpBytes(bytes), kLinkBytesPerSec);
     up_.reserveAt(start, 16); // Read request TLP.
-    down_.reserveAt(start + params_.hostToDevLat,
-                    static_cast<std::uint64_t>(bytes *
-                                               params_.tlpOverhead));
+    down_.reserveAt(start + params_.hostToDevLat, tlpBytes(bytes));
     ucNextFree_ = start + rtt;
     co_await sim_.delayUntil(start + rtt);
     co_return;
@@ -42,11 +65,9 @@ sim::Coro<void>
 PcieLink::mmioUcWrite(std::uint32_t bytes)
 {
     const Tick start = std::max(sim_.now(), ucNextFree_);
-    const Tick done = start + params_.ucStoreCpuLat;
+    const Tick done = start + kUcStoreCpuLat;
     ucNextFree_ = done;
-    down_.reserveAt(start,
-                    static_cast<std::uint64_t>(bytes *
-                                               params_.tlpOverhead));
+    down_.reserveAt(start, tlpBytes(bytes));
     co_await sim_.delayUntil(done);
     co_return;
 }
@@ -61,9 +82,7 @@ PcieLink::dmaRead(mem::Addr addr, std::uint32_t bytes)
     // Memory access within the coherent domain.
     t = mem_.dmaRead(hostSocket_, addr, bytes, t);
     // Completion data downstream.
-    t = down_.reserveAt(t, static_cast<std::uint64_t>(
-                               bytes * params_.tlpOverhead)) +
-        params_.hostToDevLat;
+    t = down_.reserveAt(t, tlpBytes(bytes)) + params_.hostToDevLat;
     co_await sim_.delayUntil(t);
     dmaTags_.release();
     co_return;
@@ -74,9 +93,7 @@ PcieLink::dmaWrite(mem::Addr addr, std::uint32_t bytes)
 {
     co_await dmaTags_.acquire();
     Tick t = sim_.now() + params_.dmaSetupLat;
-    t = up_.reserveAt(t, static_cast<std::uint64_t>(
-                             bytes * params_.tlpOverhead)) +
-        params_.devToHostLat;
+    t = up_.reserveAt(t, tlpBytes(bytes)) + params_.devToHostLat;
     // DDIO allocation into the host LLC; wakes host pollers.
     t = mem_.ddioWrite(hostSocket_, addr, bytes, t);
     co_await sim_.delayUntil(t);
@@ -101,10 +118,8 @@ PcieLink::dmaReadMulti(
                                          sp.bytes, t));
         total += sp.bytes;
     }
-    Tick done = down_.reserveAt(mem_done,
-                                static_cast<std::uint64_t>(
-                                    total * params_.tlpOverhead)) +
-                params_.hostToDevLat;
+    Tick done =
+        down_.reserveAt(mem_done, tlpBytes(total)) + params_.hostToDevLat;
     co_await sim_.delayUntil(done);
     dmaTags_.release();
     co_return;
@@ -119,9 +134,7 @@ PcieLink::dmaWriteMulti(
     std::uint64_t total = 0;
     for (const auto &sp : spans)
         total += sp.bytes;
-    t = up_.reserveAt(t, static_cast<std::uint64_t>(
-                             total * params_.tlpOverhead)) +
-        params_.devToHostLat;
+    t = up_.reserveAt(t, tlpBytes(total)) + params_.devToHostLat;
     Tick done = t;
     for (const auto &sp : spans) {
         if (sp.bytes == 0)
@@ -149,16 +162,13 @@ WcWindow::flushBuffer(const OpenBuf &buf)
         if (full) {
             // Full-line WC writes pipeline efficiently.
             const Tick ser = link_.down_.reserveAt(
-                sim_.now(), static_cast<std::uint64_t>(
-                                mem::kLineBytes * p.tlpOverhead));
+                sim_.now(), tlpBytes(mem::kLineBytes));
             done = std::max(ser, std::max(sim_.now(), lastFlushDone_) +
-                                     p.wcFullFlushPace);
+                                     kWcFullFlushPace);
         } else {
             // Partial-line evictions are serialized and expensive
             // (the Figure 3 stall).
-            link_.down_.reserveAt(sim_.now(),
-                                  static_cast<std::uint64_t>(
-                                      buf.filled * p.tlpOverhead * 2));
+            link_.down_.reserveAt(sim_.now(), tlpBytes(2.0 * buf.filled));
             link_.partialFlushNextFree_ =
                 std::max(sim_.now(), link_.partialFlushNextFree_) +
                 p.wcPartialFlushLat;
@@ -184,7 +194,6 @@ WcWindow::flushBuffer(const OpenBuf &buf)
 sim::Coro<void>
 WcWindow::store(mem::Addr addr, std::uint32_t bytes)
 {
-    const PcieParams &p = link_.params_;
     const mem::Addr line = mem::lineOf(addr);
 
     for (auto it = open_.begin(); it != open_.end(); ++it) {
@@ -196,12 +205,12 @@ WcWindow::store(mem::Addr addr, std::uint32_t bytes)
                 open_.erase(it);
                 flushBuffer(buf);
             }
-            co_await sim_.delay(p.wcFillLat);
+            co_await sim_.delay(kWcFillLat);
             co_return;
         }
     }
 
-    if (static_cast<int>(open_.size()) >= p.wcBuffers) {
+    if (open_.size() >= kWcBuffers) {
         // No free buffer: evict the oldest (partial) and stall until
         // the eviction completes.
         OpenBuf victim = open_.front();
@@ -217,21 +226,20 @@ WcWindow::store(mem::Addr addr, std::uint32_t bytes)
         open_.pop_back();
         flushBuffer(buf);
     }
-    co_await sim_.delay(p.wcFillLat);
+    co_await sim_.delay(kWcFillLat);
     co_return;
 }
 
 sim::Coro<void>
 WcWindow::fence()
 {
-    const PcieParams &p = link_.params_;
     while (!open_.empty()) {
         OpenBuf buf = open_.front();
         open_.pop_front();
         flushBuffer(buf);
     }
     const Tick fence_lat = target_ == WcTarget::Device
-                               ? p.fenceDrainLat
+                               ? kFenceDrainLat
                                : sim::fromNs(20.0);
     const Tick done = std::max(sim_.now(), lastFlushDone_) + fence_lat;
     co_await sim_.delayUntil(done);

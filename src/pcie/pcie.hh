@@ -31,42 +31,31 @@
 
 namespace ccn::pcie {
 
-/** PCIe link and endpoint timing parameters. */
+/// TLP header/framing overhead applied to every transfer.
+inline constexpr double kTlpOverhead = 1.12;
+
+/** Link bytes a transfer of @p bytes occupies, TLP overhead included. */
+constexpr std::uint64_t
+tlpBytes(double bytes)
+{
+    return static_cast<std::uint64_t>(bytes * kTlpOverhead);
+}
+
+/**
+ * PCIe endpoint timing parameters. The link rate (PCIe 4.0 x16 at the
+ * paper's 252 Gbps per direction), kTlpOverhead and the host's MMIO
+ * and write-combining costs are constants in pcie.cc: every device
+ * model sits behind the same host.
+ */
 struct PcieParams
 {
-    /// Effective data rate per direction (PCIe 4.0 x16; the paper
-    /// quotes a 252Gbps link).
-    double linkBytesPerSec = sim::gbpsToBytesPerSec(252.0);
-
-    /// TLP header/framing overhead applied to every transfer.
-    double tlpOverhead = 1.12;
-
     sim::Tick hostToDevLat = sim::fromNs(440.0); ///< Posted write transit.
     sim::Tick devToHostLat = sim::fromNs(440.0); ///< Upstream transit.
     sim::Tick devProcLat = sim::fromNs(100.0);   ///< Endpoint processing.
 
-    /// Extra host-side latency for >32B (AVX512) MMIO reads; calibrated
-    /// to the paper's 982ns (8B) vs 1026ns (64B) measurements.
-    sim::Tick wideReadExtraLat = sim::fromNs(44.0);
-
-    /// CPU-visible cost of a serialized UC store (one in flight).
-    sim::Tick ucStoreCpuLat = sim::fromNs(95.0);
-
-    /// Write-combining buffers per core (Figure 3 knee at N = 24).
-    int wcBuffers = 24;
-
-    /// Cost of a WC store that hits an already-open buffer.
-    sim::Tick wcFillLat = sim::fromNs(0.8);
-
-    /// Root-complex accept pacing for pipelined full-line WC flushes.
-    sim::Tick wcFullFlushPace = sim::fromNs(6.0);
-
     /// Serialized completion latency of a partial-line WC eviction
     /// (device-dependent; drives the Figure 3 slope).
     sim::Tick wcPartialFlushLat = sim::fromNs(480.0);
-
-    /// Drain latency an sfence observes after the last flush is issued.
-    sim::Tick fenceDrainLat = sim::fromNs(55.0);
 
     /// DMA engine fixed setup per operation.
     sim::Tick dmaSetupLat = sim::fromNs(40.0);
@@ -145,9 +134,7 @@ class PcieLink
                    std::function<void()> on_complete)
     {
         sim::Tick t = sim_.now() + params_.dmaSetupLat;
-        t = up_.reserveAt(t, static_cast<std::uint64_t>(
-                                 bytes * params_.tlpOverhead)) +
-            params_.devToHostLat;
+        t = up_.reserveAt(t, tlpBytes(bytes)) + params_.devToHostLat;
         t = mem_.ddioWrite(hostSocket_, addr, bytes, t);
         if (on_complete)
             sim_.scheduleCallback(t, std::move(on_complete));
@@ -162,15 +149,11 @@ class PcieLink
     chargeBackgroundRead(std::uint64_t bytes)
     {
         up_.reserve(16);
-        down_.reserve(static_cast<std::uint64_t>(bytes *
-                                                 params_.tlpOverhead));
+        down_.reserve(tlpBytes(bytes));
     }
 
     /** Transit delay before a posted doorbell is visible at the device. */
     sim::Tick doorbellTransit() const { return params_.hostToDevLat; }
-
-    const PcieParams &params() const { return params_; }
-    int hostSocket() const { return hostSocket_; }
 
   private:
     friend class WcWindow;
