@@ -12,6 +12,11 @@ using sim::Tick;
 namespace {
 
 constexpr int kBurst = 32;
+constexpr std::uint32_t kRequestBytes = 64; ///< Loopback client GET/SET.
+constexpr std::uint32_t kHeaderBytes = 32;  ///< Response header.
+constexpr Tick kWarmup = sim::fromUs(50.0); ///< Loopback harness.
+constexpr double kParseCycles = 200; ///< Request parse + RPC dispatch.
+constexpr double kIndexCycles = 80;  ///< Hash + bucket walk computation.
 
 } // namespace
 
@@ -19,7 +24,7 @@ constexpr int kBurst = 32;
 struct KvServer::State
 {
     State(mem::CoherentSystem &m, const KvConfig &cfg, sim::Rng &rng)
-        : zipf(cfg.numObjects, cfg.zipf), msys(&m)
+        : zipf(cfg.numObjects, kZipfSkew), msys(&m)
     {
         // Hash index: open-addressed 8B entries, 2x objects.
         indexBase = m.alloc(0, cfg.numObjects * 2 * 8, 4096);
@@ -76,7 +81,7 @@ namespace {
 /** One server thread handling GET/SET RPCs on queue q. */
 sim::Task
 serverThread(sim::Simulator &sim, mem::CoherentSystem &m,
-             driver::NicInterface &nic, const KvConfig cfg, int q,
+             driver::NicInterface &nic, int q,
              std::shared_ptr<KvServer::State> st)
 {
     const mem::AgentId agent = nic.hostAgent(q);
@@ -101,7 +106,7 @@ serverThread(sim::Simulator &sim, mem::CoherentSystem &m,
 
         // Parse + index lookups for the burst.
         co_await sim.delay(m.config().cycles(
-            (cfg.parseCycles + cfg.indexCycles) * nr));
+            (kParseCycles + kIndexCycles) * nr));
         std::vector<mem::CoherentSystem::Span> idx_spans;
         std::vector<std::uint64_t> keys(nr);
         std::vector<bool> is_get(nr);
@@ -122,10 +127,10 @@ serverThread(sim::Simulator &sim, mem::CoherentSystem &m,
             const std::uint64_t k = keys[i] % st->objAddr.size();
             PacketBuf *hdr = nullptr;
             const int got =
-                co_await nic.allocBufs(q, cfg.headerBytes, &hdr, 1);
+                co_await nic.allocBufs(q, kHeaderBytes, &hdr, 1);
             if (got != 1)
                 break;
-            hdr->len = cfg.headerBytes;
+            hdr->len = kHeaderBytes;
             hdr->txTime = reqs[i]->txTime;
             hdr->flowId = reqs[i]->flowId;
             hdr->userData = reqs[i]->userData;
@@ -153,7 +158,7 @@ serverThread(sim::Simulator &sim, mem::CoherentSystem &m,
         // Header writes.
         std::vector<mem::CoherentSystem::Span> hdr_spans;
         for (int i = 0; i < nresp; ++i)
-            hdr_spans.push_back({resp[i]->addr, cfg.headerBytes});
+            hdr_spans.push_back({resp[i]->addr, kHeaderBytes});
         co_await m.postMulti(agent, hdr_spans, nullptr);
 
         int sent = 0;
@@ -179,7 +184,7 @@ serverThread(sim::Simulator &sim, mem::CoherentSystem &m,
 sim::Task
 serveConnTask(sim::Simulator &sim, mem::CoherentSystem &m,
               transport::Endpoint &ep, transport::Connection *conn,
-              const KvConfig cfg, std::shared_ptr<KvServer::State> st)
+              std::shared_ptr<KvServer::State> st)
 {
     const mem::AgentId agent = ep.nic().hostAgent(conn->queue());
 
@@ -192,7 +197,7 @@ serveConnTask(sim::Simulator &sim, mem::CoherentSystem &m,
         // Parse + index walk (request payload was already charged by
         // the transport's receive pump).
         co_await sim.delay(
-            m.config().cycles(cfg.parseCycles + cfg.indexCycles));
+            m.config().cycles(kParseCycles + kIndexCycles));
         const auto [key, is_get] = unpackKvRequest(req.userData);
         const std::uint64_t bucket =
             (key * 0x9e3779b97f4a7c15ULL) & st->indexMask;
@@ -201,7 +206,7 @@ serveConnTask(sim::Simulator &sim, mem::CoherentSystem &m,
         co_await m.accessMulti(agent, idx, false);
 
         const std::uint64_t k = key % st->objAddr.size();
-        std::uint32_t resp_len = cfg.headerBytes;
+        std::uint32_t resp_len = kHeaderBytes;
         if (is_get) {
             resp_len += st->objLen[k];
         } else {
@@ -241,7 +246,7 @@ clientGen(sim::Simulator &sim, driver::NicInterface &nic,
         const std::uint64_t key = st->zipf.sample(rng);
         const bool get = rng.uniform() < cfg.getFraction;
         WirePacket pkt;
-        pkt.len = cfg.requestBytes;
+        pkt.len = kRequestBytes;
         pkt.txTime = sim.now();
         pkt.flowId = n;
         pkt.userData = packKvRequest(key, get);
@@ -278,7 +283,7 @@ KvServer::start(sim::Simulator &sim, mem::CoherentSystem &m,
     st_->segPools.resize(cfg_.serverThreads,
                          std::vector<PacketBuf>(2048));
     for (int q = 0; q < cfg_.serverThreads; ++q)
-        sim.spawn(serverThread(sim, m, nic, cfg_, q, st_));
+        sim.spawn(serverThread(sim, m, nic, q, st_));
 }
 
 void
@@ -288,9 +293,8 @@ KvServer::startOverTransport(sim::Simulator &sim,
 {
     st_->runUntil = run_until;
     auto st = st_;
-    const KvConfig cfg = cfg_;
-    ep.onAccept([&sim, &m, &ep, cfg, st](transport::Connection *c) {
-        sim.spawn(serveConnTask(sim, m, ep, c, cfg, st));
+    ep.onAccept([&sim, &m, &ep, st](transport::Connection *c) {
+        sim.spawn(serveConnTask(sim, m, ep, c, st));
     });
 }
 
@@ -306,7 +310,7 @@ runKvStore(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     sim::Rng rng(cfg.seed);
     KvServer server(mem_system, cfg, rng);
     auto st = server.shared();
-    st->measureStart = sim.now() + cfg.warmup;
+    st->measureStart = sim.now() + kWarmup;
     st->measureEnd = st->measureStart + cfg.window;
 
     // Outbound responses pass the wire cap and are counted.

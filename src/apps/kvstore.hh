@@ -51,21 +51,18 @@ class WireModel
     sim::CalendarResource bytes;
 };
 
+/// Zipf coefficient of key popularity (§5.7).
+inline constexpr double kZipfSkew = 0.75;
+
 /** KV store configuration. */
 struct KvConfig
 {
     std::uint64_t numObjects = 1u << 20;
-    double zipf = 0.75;
     double getFraction = 0.95;
     workload::SizeDist sizes = workload::SizeDist::ads();
     int serverThreads = 8;
     double offeredOps = 100e6; ///< Client offered load (beyond peak).
-    std::uint32_t requestBytes = 64;
-    std::uint32_t headerBytes = 32;
-    sim::Tick warmup = sim::fromUs(50.0);
     sim::Tick window = sim::fromUs(200.0);
-    double parseCycles = 200; ///< Request parse + RPC dispatch.
-    double indexCycles = 80;  ///< Hash + bucket walk computation.
     std::uint64_t seed = 11;
 };
 
@@ -131,8 +128,8 @@ class KvServer
      * bursts: every accepted connection gets a serving process that
      * loops recv → parse → index lookup → object access → send. The
      * response echoes the request's userData and original txTime (for
-     * end-to-end RTT at the client); a GET response carries
-     * headerBytes + object size, a SET response just the header.
+     * end-to-end RTT at the client); a GET response carries the
+     * 32-byte header + object size, a SET response just the header.
      * Install before the endpoint sees its first SYN; @p ep must
      * outlive the run.
      */
@@ -142,7 +139,6 @@ class KvServer
                             sim::Tick run_until);
 
     struct State;
-    State &state() { return *st_; }
 
     /** Shared handle, for harnesses whose tasks outlive this scope. */
     std::shared_ptr<State> shared() const { return st_; }

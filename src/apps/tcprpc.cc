@@ -13,6 +13,11 @@ using sim::Tick;
 namespace {
 
 constexpr int kBurst = 32;
+constexpr std::uint64_t kFlows = 96; ///< Client flow population.
+constexpr std::uint32_t kRpcBytes = 64;
+constexpr double kTcpCycles = 70; ///< Per-packet TCP fast-path work.
+constexpr double kAppCycles = 30; ///< Echo application work.
+constexpr Tick kWarmup = sim::fromUs(50.0);
 
 struct RpcState
 {
@@ -25,8 +30,7 @@ struct RpcState
 /** One TAS fast-path thread on queue q: RX, TCP, echo, TX. */
 sim::Task
 fastPathThread(sim::Simulator &sim, mem::CoherentSystem &m,
-               driver::NicInterface &nic, const TcpRpcConfig cfg, int q,
-               std::shared_ptr<RpcState> st)
+               driver::NicInterface &nic, int q, std::shared_ptr<RpcState> st)
 {
     const mem::AgentId agent = nic.hostAgent(q);
     PacketBuf *reqs[kBurst];
@@ -43,9 +47,7 @@ fastPathThread(sim::Simulator &sim, mem::CoherentSystem &m,
         std::vector<mem::CoherentSystem::Span> spans;
         for (int i = 0; i < nr; ++i) {
             spans.push_back({reqs[i]->addr, reqs[i]->len});
-            const std::uint64_t flow = reqs[i]->flowId %
-                                       static_cast<std::uint64_t>(
-                                           cfg.flows);
+            const std::uint64_t flow = reqs[i]->flowId % kFlows;
             spans.push_back(
                 {st->flowTable + flow * 2 * mem::kLineBytes,
                  2 * mem::kLineBytes});
@@ -54,19 +56,18 @@ fastPathThread(sim::Simulator &sim, mem::CoherentSystem &m,
 
         // TCP processing plus the echo application's work.
         co_await sim.delay(m.config().cycles(
-            (cfg.tcpCycles + cfg.appCycles) * nr));
+            (kTcpCycles + kAppCycles) * nr));
 
         // Build echo responses.
         int nresp = 0;
-        const int got =
-            co_await nic.allocBufs(q, cfg.rpcBytes, resp, nr);
+        const int got = co_await nic.allocBufs(q, kRpcBytes, resp, nr);
         std::vector<mem::CoherentSystem::Span> out_spans;
         for (int i = 0; i < got; ++i) {
-            resp[i]->len = cfg.rpcBytes;
+            resp[i]->len = kRpcBytes;
             resp[i]->txTime = reqs[i]->txTime;
             resp[i]->flowId = reqs[i]->flowId;
             resp[i]->userData = reqs[i]->userData;
-            out_spans.push_back({resp[i]->addr, cfg.rpcBytes});
+            out_spans.push_back({resp[i]->addr, kRpcBytes});
             nresp++;
         }
         co_await m.postMulti(agent, out_spans, nullptr);
@@ -108,9 +109,9 @@ rpcClientGen(sim::Simulator &sim, driver::NicInterface &nic,
         if (sim.now() >= st->measureEnd)
             break;
         WirePacket pkt;
-        pkt.len = cfg.rpcBytes;
+        pkt.len = kRpcBytes;
         pkt.txTime = sim.now();
-        pkt.flowId = rng.below(static_cast<std::uint64_t>(cfg.flows));
+        pkt.flowId = rng.below(kFlows);
         pkt.userData = n;
         // Flows are statically partitioned across fast-path threads.
         const int q = static_cast<int>(pkt.flowId %
@@ -136,18 +137,16 @@ runTcpRpc(sim::Simulator &sim, mem::CoherentSystem &mem_system,
           WireModel &wire, const TcpRpcConfig &cfg)
 {
     auto st = std::make_shared<RpcState>();
-    st->measureStart = sim.now() + cfg.warmup;
+    st->measureStart = sim.now() + kWarmup;
     st->measureEnd = st->measureStart + cfg.window;
-    st->flowTable = mem_system.alloc(
-        0, static_cast<std::uint64_t>(cfg.flows) * 2 * mem::kLineBytes,
-        4096);
+    st->flowTable =
+        mem_system.alloc(0, kFlows * 2 * mem::kLineBytes, 4096);
     // Flow-state lines are core-private per flow once steered; cross-
     // agent traffic there is accidental (bad RSS steering, not
     // intended two-way signaling).
     const auto flow_region = mem_system.profiler().registerRegion(
         "tcprpc.flow_table", st->flowTable,
-        static_cast<std::uint64_t>(cfg.flows) * 2 * mem::kLineBytes,
-        obs::RegionIntent::Owned);
+        kFlows * 2 * mem::kLineBytes, obs::RegionIntent::Owned);
 
     std::shared_ptr<RpcState> stp = st;
     WireModel *wp = &wire;
@@ -158,8 +157,7 @@ runTcpRpc(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     });
 
     for (int q = 0; q < cfg.fastPathThreads; ++q) {
-        sim.spawn(
-            fastPathThread(sim, mem_system, nic, cfg, q, st));
+        sim.spawn(fastPathThread(sim, mem_system, nic, q, st));
     }
     auto inbound = std::make_shared<WireModel>(sim, wire.pps.rate(),
                                                wire.bytes.rate());

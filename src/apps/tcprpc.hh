@@ -26,12 +26,7 @@ namespace ccn::apps {
 struct TcpRpcConfig
 {
     int fastPathThreads = 3;   ///< Fast-path (data plane) threads.
-    int flows = 96;            ///< Client flow population.
-    std::uint32_t rpcBytes = 64;
     double offeredOps = 120e6; ///< Offered beyond peak.
-    double tcpCycles = 70;     ///< Per-packet TCP fast-path work.
-    double appCycles = 30;     ///< Echo application work.
-    sim::Tick warmup = sim::fromUs(50.0);
     sim::Tick window = sim::fromUs(200.0);
     std::uint64_t seed = 21;
 };

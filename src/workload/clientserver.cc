@@ -19,7 +19,7 @@ constexpr int kRxBurst = 32;
 struct ClientState
 {
     ClientState(const ClientServerConfig &cfg)
-        : zipf(cfg.kv.numObjects, cfg.kv.zipf)
+        : zipf(cfg.kv.numObjects, apps::kZipfSkew)
     {}
 
     ZipfSampler zipf;
@@ -268,7 +268,7 @@ runReliableWithEndpoints(
     // Open loop: Poisson gaps from the tick the connection opens, then
     // a Zipf key and a GET/PUT, all from the connection's own Rng.
     auto zipf = std::make_shared<const ZipfSampler>(cfg.kv.numObjects,
-                                                    cfg.kv.zipf);
+                                                    apps::kZipfSkew);
     const double rate = cfg.offeredOps / cfg.clientQueues;
     const double get_frac = cfg.kv.getFraction;
     const std::uint32_t bytes = cfg.requestBytes;
