@@ -77,24 +77,19 @@ struct FabricRun
         }
     }
 
-    HostWorld &
-    host(const std::string &name)
+    std::size_t
+    index(const std::string &name) const
     {
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            if (names[i] == name)
-                return *hosts[i];
-        }
-        throw std::logic_error("unknown host " + name);
+        const auto it = std::find(names.begin(), names.end(), name);
+        if (it == names.end())
+            throw std::logic_error("unknown host " + name);
+        return static_cast<std::size_t>(it - names.begin());
     }
 
-    std::uint32_t
-    addr(const std::string &name) const
+    HostWorld &host(const std::string &name) { return *hosts[index(name)]; }
+    std::uint32_t addr(const std::string &name) const
     {
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            if (names[i] == name)
-                return addrs[i];
-        }
-        throw std::logic_error("unknown host " + name);
+        return addrs[index(name)];
     }
 
     sim::Simulator simv;
@@ -152,34 +147,13 @@ portsTable(const FabricRun &run)
     return t;
 }
 
-/**
- * Source for one connection's slice of a trace: each record at run
- * start + its t_ns when @p paced, else at once.
- */
-workload::RequestSource
-replaySource(std::vector<TraceRecord> records, Tick start, bool paced)
-{
-    return [records = std::move(records), start, paced]() mutable {
-        return [records = std::move(records), start, paced,
-                i = std::size_t{0}]() mutable
-               -> std::optional<workload::KvRequest> {
-            if (i == records.size())
-                return std::nullopt;
-            const TraceRecord &rec = records[i++];
-            const Tick at =
-                paced ? start + sim::fromNs(static_cast<double>(rec.atNs))
-                      : 0;
-            return workload::KvRequest{at, rec.get, rec.key, rec.bytes};
-        };
-    };
-}
-
 void
 runReplay(const ScenarioSpec &spec, FabricRun &run,
           ScenarioOutcome &out)
 {
     const ReplaySpec &r = spec.replay;
-    const std::vector<TraceRecord> records = loadTrace(r.traceFile);
+    const auto records = std::make_shared<const std::vector<TraceRecord>>(
+        loadTrace(r.traceFile));
 
     apps::KvConfig kv;
     kv.serverThreads = r.serverThreads;
@@ -199,25 +173,35 @@ runReplay(const ScenarioSpec &spec, FabricRun &run,
 
     // Every response counts, and sends stop at the horizon.
     const Tick start = run.simv.now();
-    const Tick span = records.empty() || !r.preserveGaps
+    const bool paced = r.preserveGaps;
+    const Tick span = records->empty() || !paced
                           ? 0
                           : sim::fromNs(static_cast<double>(
-                                records.back().atNs));
+                                records->back().atNs));
     workload::ReliableClock clock;
     clock.measureStart = start;
     clock.measureEnd = sim::kTickMax;
     clock.runUntil = start + span + sim::fromUs(r.drainUs);
 
     // Round-robin the trace across one connection per client queue;
-    // each connection's subsequence keeps the recorded time order.
-    std::vector<std::vector<TraceRecord>> slices(
-        std::max(1, r.clientQueues));
-    for (std::size_t i = 0; i < records.size(); ++i)
-        slices[i % slices.size()].push_back(records[i]);
+    // each connection's subsequence keeps the recorded time order and
+    // sends each record at start + t_ns when paced, else at once.
+    const auto conns = static_cast<std::size_t>(std::max(1, r.clientQueues));
     std::vector<workload::RequestSource> sources;
-    for (std::vector<TraceRecord> &slice : slices)
-        sources.push_back(
-            replaySource(std::move(slice), start, r.preserveGaps));
+    for (std::size_t c = 0; c < conns; ++c) {
+        sources.push_back([records, conns, c, start, paced] {
+            return [records, conns, start, paced, i = c]() mutable
+                   -> std::optional<workload::KvRequest> {
+                if (i >= records->size())
+                    return std::nullopt;
+                const TraceRecord &rec = (*records)[i];
+                i += conns;
+                const Tick t = sim::fromNs(static_cast<double>(rec.atNs));
+                return workload::KvRequest{paced ? start + t : 0, rec.get,
+                                           rec.key, rec.bytes};
+            };
+        });
+    }
 
     out.kv = workload::runReliableClients(
         run.simv, server.system, server_ep, client_ep,
@@ -226,11 +210,11 @@ runReplay(const ScenarioSpec &spec, FabricRun &run,
     stats::Table t({"trace_ops", "sent", "responses", "lost",
                     "duplicates", "rtt_p50_ns", "rtt_p99_ns",
                     "pacing"});
-    t.row().cell(static_cast<std::uint64_t>(records.size()))
+    t.row().cell(static_cast<std::uint64_t>(records->size()))
         .cell(out.kv.requestsSent).cell(out.kv.responses)
         .cell(out.kv.lostRequests).cell(out.kv.duplicateResponses)
         .cell(out.kv.rttP50Ns, 0).cell(out.kv.rttP99Ns, 0)
-        .cell(r.preserveGaps ? "recorded" : "max");
+        .cell(paced ? "recorded" : "max");
     out.json.add("results", t);
 }
 

@@ -15,6 +15,20 @@ namespace {
 
 constexpr int kRxBurst = 32;
 
+/** Rates over @p window and RTT percentiles of in-window responses. */
+void
+measure(KvMeasurement &r, std::uint64_t responses, std::uint64_t bytes,
+        Tick window, const stats::Histogram &rtt)
+{
+    const double window_s = sim::toSeconds(window);
+    r.achievedMops = static_cast<double>(responses) / window_s / 1e6;
+    r.gbpsIn = static_cast<double>(bytes) * 8.0 / window_s / 1e9;
+    r.rttMinNs = sim::toNs(rtt.min());
+    r.rttP50Ns = sim::toNs(rtt.percentile(50.0));
+    r.rttP95Ns = sim::toNs(rtt.percentile(95.0));
+    r.rttP99Ns = sim::toNs(rtt.percentile(99.0));
+}
+
 /** Client-side shared accounting. */
 struct ClientState
 {
@@ -242,14 +256,7 @@ runKvClientServer(sim::Simulator &sim, mem::CoherentSystem &server_mem,
     r.txBackpressure = st->backpressure;
     r.responses = st->responses;
     r.offeredMops = cfg.offeredOps / 1e6;
-    r.achievedMops = static_cast<double>(st->responses) /
-                     sim::toSeconds(cfg.window) / 1e6;
-    r.gbpsIn = static_cast<double>(st->respBytes) * 8.0 /
-               sim::toSeconds(cfg.window) / 1e9;
-    r.rttMinNs = sim::toNs(st->rttTicks.min());
-    r.rttP50Ns = sim::toNs(st->rttTicks.percentile(50.0));
-    r.rttP95Ns = sim::toNs(st->rttTicks.percentile(95.0));
-    r.rttP99Ns = sim::toNs(st->rttTicks.percentile(99.0));
+    measure(r, st->responses, st->respBytes, cfg.window, st->rttTicks);
     return r;
 }
 
@@ -274,8 +281,8 @@ runReliableWithEndpoints(
     const std::uint32_t bytes = cfg.requestBytes;
     std::vector<RequestSource> sources;
     for (int q = 0; q < cfg.clientQueues; ++q) {
-        const std::uint64_t seed = cfg.seed * 131 + q;
-        sources.push_back([&sim, zipf, rate, get_frac, bytes, seed] {
+        sources.push_back([&sim, zipf, rate, get_frac, bytes,
+                           seed = cfg.seed * 131 + q] {
             return [zipf, rate, get_frac, bytes, rng = sim::Rng(seed),
                     next = sim.now()]() mutable {
                 next += static_cast<Tick>(rng.exponential(
@@ -325,8 +332,6 @@ runReliableClients(
 
     sim.run(clock.runUntil + sim::fromUs(5.0));
 
-    const double window_s =
-        sim::toSeconds(clock.measureEnd - clock.measureStart);
     ReliableClientServerResult r;
     r.requestsSent = st->sent;
     r.responses = st->responses;
@@ -339,14 +344,9 @@ runReliableClients(
     r.timeouts = cs.timeouts + ss.timeouts;
     r.windowStalls = cs.windowStalls + ss.windowStalls;
     r.connAborts = cs.aborts + ss.aborts;
-    r.achievedMops =
-        static_cast<double>(st->windowResponses) / window_s / 1e6;
-    r.gbpsIn = static_cast<double>(st->respBytes) * 8.0 / window_s / 1e9;
     r.duplicateResponses = st->duplicates;
-    r.rttMinNs = sim::toNs(st->rttTicks.min());
-    r.rttP50Ns = sim::toNs(st->rttTicks.percentile(50.0));
-    r.rttP95Ns = sim::toNs(st->rttTicks.percentile(95.0));
-    r.rttP99Ns = sim::toNs(st->rttTicks.percentile(99.0));
+    measure(r, st->windowResponses, st->respBytes,
+            clock.measureEnd - clock.measureStart, st->rttTicks);
     return r;
 }
 

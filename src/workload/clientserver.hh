@@ -60,19 +60,24 @@ struct ClientServerConfig
     RequestHook onRequest;
 };
 
-/** Result of one client-server measurement. */
-struct ClientServerResult
+/** Rates and RTT percentiles of responses inside the window. */
+struct KvMeasurement
 {
-    std::uint64_t requestsSent = 0;    ///< Accepted by client TX.
-    std::uint64_t txBackpressure = 0;  ///< Rejected by client TX ring.
-    std::uint64_t responses = 0;       ///< Received within the window.
     double offeredMops = 0;
-    double achievedMops = 0;           ///< Responses per second.
-    double gbpsIn = 0;                 ///< Response bytes at client.
+    double achievedMops = 0; ///< Responses per second.
+    double gbpsIn = 0;       ///< Response bytes at the client.
     double rttMinNs = 0;
     double rttP50Ns = 0;
     double rttP95Ns = 0;
     double rttP99Ns = 0;
+};
+
+/** Result of one client-server measurement. */
+struct ClientServerResult : KvMeasurement
+{
+    std::uint64_t requestsSent = 0;    ///< Accepted by client TX.
+    std::uint64_t txBackpressure = 0;  ///< Rejected by client TX ring.
+    std::uint64_t responses = 0;       ///< Received within the window.
 };
 
 /**
@@ -93,7 +98,7 @@ ClientServerResult runKvClientServer(
     const ClientServerConfig &cfg);
 
 /** Result of one reliable (transport-backed) client-server run. */
-struct ReliableClientServerResult
+struct ReliableClientServerResult : KvMeasurement
 {
     std::uint64_t requestsSent = 0;  ///< Accepted by transport send().
     std::uint64_t responses = 0;     ///< Over the whole run.
@@ -109,13 +114,6 @@ struct ReliableClientServerResult
     /// a retransmit- or reset-resync-induced double execution shows up
     /// here instead of inflating `responses`.
     std::uint64_t duplicateResponses = 0;
-    double offeredMops = 0;
-    double achievedMops = 0;         ///< In-window responses per sec.
-    double gbpsIn = 0;               ///< In-window response bytes.
-    double rttMinNs = 0;
-    double rttP50Ns = 0;
-    double rttP95Ns = 0;
-    double rttP99Ns = 0;
 };
 
 /**
