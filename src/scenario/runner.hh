@@ -35,7 +35,10 @@ struct ScenarioOutcome
     std::string mode;
 
     workload::ClientServerResult raw;        ///< kv_raw.
-    workload::ReliableClientServerResult kv; ///< kv_reliable, chaos, replay.
+    /// kv_reliable, chaos and replay. A replay measures every response
+    /// (its window never closes), so its achieved rate and bandwidth
+    /// read about 0; the "results" table reports counts and RTTs.
+    workload::ReliableClientServerResult kv;
     workload::ChaosKvResult chaos;           ///< chaos.
 
     /// Requests recorded when the workload declared a capture file
