@@ -85,6 +85,17 @@ class Parser
         return v;
     }
 
+    /** A seed: any number in [0, 2^64), its fraction dropped. */
+    std::uint64_t
+    seed()
+    {
+        const Token &t = peek();
+        const double v = expectNumber("seed");
+        if (!(v >= 0 && v < 0x1p64))
+            fail(t, "seed " + t.text + " out of range [0, 2^64)");
+        return static_cast<std::uint64_t>(v);
+    }
+
     std::uint32_t
     positiveInt(const std::string &what, double hi = 1e9)
     {
@@ -215,8 +226,7 @@ class Parser
             else if (p.text == "corrupt")
                 l.corrupt = numberIn("corrupt", 0, 1);
             else if (p.text == "seed")
-                l.seed = static_cast<std::uint64_t>(
-                    expectNumber("seed"));
+                l.seed = seed();
             else
                 fail(p, "unknown keyword '" + p.text +
                             "' in link block");
@@ -298,8 +308,7 @@ class Parser
             } else if (p.text == "min_rto_us") {
                 w.minRtoUs = numberIn("min_rto_us", 0, 1e6);
             } else if (p.text == "seed") {
-                w.seed = static_cast<std::uint64_t>(
-                    expectNumber("seed"));
+                w.seed = seed();
             } else if (p.text == "capture") {
                 w.captureFile = expect(TokKind::String,
                                        "a capture file path").text;
@@ -325,8 +334,7 @@ class Parser
         while (!at(TokKind::RBrace)) {
             const Token p = expect(TokKind::Ident, "a fault property");
             if (p.text == "seed")
-                f.seed = static_cast<std::uint64_t>(
-                    expectNumber("seed"));
+                f.seed = seed();
             else if (p.text == "target")
                 f.target = expectIdent("a host name");
             else if (p.text == "nic_wedges")
@@ -410,8 +418,7 @@ class Parser
             } else if (p.text == "min_rto_us") {
                 r.minRtoUs = numberIn("min_rto_us", 0, 1e6);
             } else if (p.text == "seed") {
-                r.seed = static_cast<std::uint64_t>(
-                    expectNumber("seed"));
+                r.seed = seed();
             } else {
                 fail(p, "unknown keyword '" + p.text +
                             "' in replay block");

@@ -178,6 +178,31 @@ TEST(ScenarioParser, MissingSemicolonPositioned)
     expectError("host a { queues 2 }", 1, 19, "expected ';'");
 }
 
+TEST(ScenarioParser, NegativeSeedRejected)
+{
+    expectError("host a { }\nlink a { seed -1; }", 2, 15,
+                "seed -1 out of range [0, 2^64)");
+}
+
+TEST(ScenarioParser, HugeSeedRejected)
+{
+    expectError("host a { }\nworkload kv { server a; client a; "
+                "seed 1e30; }",
+                2, 40, "seed 1e30 out of range [0, 2^64)");
+    // 1e999 lexes to infinity.
+    expectError("host a { }\nreplay { trace \"t\"; server a; "
+                "client a; seed 1e999; }",
+                2, 46, "seed 1e999 out of range [0, 2^64)");
+}
+
+TEST(ScenarioParser, HexSeedPast64BitsRejected)
+{
+    expectError("host a { }\nhost b { }\n"
+                "workload kv { server a; client b; }\n"
+                "faults { target b; seed 0x1ffffffffffffffff; }",
+                4, 25, "seed 0x1ffffffffffffffff out of range");
+}
+
 // ---------------------------------------------------------------------------
 // Parser success paths.
 
