@@ -1,15 +1,33 @@
 #include "scenario/trace.hh"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
 #include "scenario/lexer.hh"
+#include "sim/time.hh"
 
 namespace ccn::scenario {
 
 namespace {
+
 constexpr const char *kHeader = "# ccn-kv-trace v1";
+
+/// Latest record time: half the tick range, leaving the other half for
+/// a replay's start and drain, so start + t_ns + drain fits in a Tick.
+constexpr std::uint64_t kMaxAtNs = sim::kTickMax / 2 / sim::kNanosecond;
+
+/** One unsigned decimal field: digits only (no sign), in range. */
+template <typename T>
+bool
+field(const std::string &s, T &v)
+{
+    const char *end = s.data() + s.size();
+    const auto [p, ec] = std::from_chars(s.data(), end, v);
+    return ec == std::errc() && p == end;
 }
+
+} // namespace
 
 void
 saveTrace(const std::string &path,
@@ -50,10 +68,10 @@ loadTrace(const std::string &path)
 
         std::istringstream ss(line);
         TraceRecord r;
-        std::string op;
-        std::string tail;
-        if (!(ss >> r.atNs >> op >> r.key >> r.bytes) ||
-            (ss >> tail)) {
+        std::string at, op, key, bytes, tail;
+        if (!(ss >> at >> op >> key >> bytes) || (ss >> tail) ||
+            !field(at, r.atNs) || r.atNs > kMaxAtNs ||
+            !field(key, r.key) || !field(bytes, r.bytes)) {
             throw ScenarioError(path, lineno, 1,
                                 "malformed trace record '" + line +
                                     "'");

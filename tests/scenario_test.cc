@@ -337,6 +337,47 @@ TEST(ScenarioTrace, RejectsBadHeaderAndRecords)
     std::remove(path.c_str());
 }
 
+TEST(ScenarioTrace, RejectsSignedAndOutOfRangeFields)
+{
+    // Read with a sign, a field wraps (-5 ns to 18446744073709551611
+    // ns, key -1 to 4294967295); t_ns past half the tick range
+    // overflows a replay's send tick.
+    const std::string path = tempPath("wrap.trace");
+    for (const char *rec :
+         {"-5 get 1 64", "5 get -1 64", "5 get 1 -64", "+5 get 1 64",
+          "18446744073709551616 get 1 64", "20000000000000000 get 1 64",
+          "5 get 4294967296 64", "5 get 1 4294967296", "5 get 1 64x",
+          "5.0 get 1 64"}) {
+        {
+            std::ofstream f(path);
+            f << "# ccn-kv-trace v1\n0 get 1 64\n" << rec << "\n";
+        }
+        try {
+            scenario::loadTrace(path);
+            ADD_FAILURE() << "accepted '" << rec << "'";
+        } catch (const ScenarioError &e) {
+            EXPECT_EQ(e.line(), 3) << e.what();
+            EXPECT_EQ(e.col(), 1) << e.what();
+            EXPECT_NE(std::string(e.what()).find(
+                          "malformed trace record"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    {
+        std::ofstream f(path);
+        f << "# ccn-kv-trace v1\n9000000000000000 put 4294967295 "
+             "4294967295\n";
+    }
+    const auto recs = scenario::loadTrace(path);
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].atNs, 9000000000000000u);
+    EXPECT_FALSE(recs[0].get);
+    EXPECT_EQ(recs[0].key, 4294967295u);
+    EXPECT_EQ(recs[0].bytes, 4294967295u);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end scenario runs. Kept small so the suite stays fast.
 
