@@ -5,9 +5,13 @@
  * A ScenarioSpec is a fully validated declaration of a run: hosts
  * with an interface family each, link parameters per fabric
  * attachment, a KV workload mix, an optional fault schedule, an
- * optional trace replay, or a loopback small-message sweep. The
- * parser guarantees referential integrity (every named host exists,
- * rates are in range), so the runner can build the world without
+ * optional trace replay, or a loopback small-message sweep. Each
+ * setting is held in the runtime config the run uses (net::LinkConfig,
+ * workload::ClientServerConfig, workload::ChaosConfig); the spec adds
+ * only what the DSL declares on top: host names, mode, fault target,
+ * capture and trace files, pacing, and declaration sites. The parser
+ * guarantees referential integrity (every named host exists, rates
+ * are in range), so the runner can build the world without
  * re-validating.
  */
 
@@ -17,6 +21,10 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "net/link.hh"
+#include "workload/chaos.hh"
+#include "workload/clientserver.hh"
 
 namespace ccn::scenario {
 
@@ -41,92 +49,63 @@ struct HostSpec
 struct LinkSpec
 {
     std::vector<std::string> endpoints; ///< Declared host names.
-    double gbps = 100.0;
-    double delayNs = 500.0;
-    int queuePackets = 256;
-    double loss = 0.0;    ///< Random drop probability [0, 1].
-    double dup = 0.0;
-    double reorder = 0.0;
-    double corrupt = 0.0;
-    std::uint64_t seed = 1;
+    net::LinkConfig config;
     int line = 0, col = 0;
 };
 
-/** KV workload mix (maps onto workload::ClientServerConfig). */
-struct WorkloadSpec
+/** A block a scenario declares at most once, and where. */
+struct Block
 {
     bool present = false;
-    bool reliable = true; ///< mode reliable | raw.
-    std::string server;   ///< Declared host name.
+    int line = 0, col = 0; ///< Declaration site (diagnostics).
+};
+
+/** What a workload and a replay block share: two hosts, one KV run. */
+struct KvBlock : Block
+{
+    /// The library's defaults, but for the six the DSL sets lower.
+    KvBlock()
+    {
+        config.kv.numObjects = 1u << 16;
+        config.kv.serverThreads = 4;
+        config.clientQueues = 2;
+        config.offeredOps = 1e6;
+        config.window = sim::fromUs(250.0);
+        config.drain = sim::fromUs(2000.0);
+    }
+
+    std::string server; ///< Declared host name.
     std::string client;
-    double getFraction = 0.95;
-    std::uint64_t objects = 1u << 16;
-    std::string sizes = "ads"; ///< ads | geo | fixed.
-    std::uint32_t fixedBytes = 0; ///< When sizes == "fixed".
-    double offeredMops = 1.0;
-    std::uint32_t requestBytes = 64;
-    int clientQueues = 2;
-    int serverThreads = 4;
-    double warmupUs = 50.0;
-    double windowUs = 250.0;
-    double drainUs = 2000.0;
-    double minRtoUs = 0.0; ///< 0: transport default.
-    std::uint64_t seed = 42;
-    std::string captureFile; ///< Nonempty: record the request stream.
-    int line = 0, col = 0;
+    workload::ClientServerConfig config;
 };
 
-/** Fault schedule (maps onto workload::ChaosConfig). */
-struct FaultSpec
+/** KV workload mix, run live between the two hosts. */
+struct WorkloadSpec : KvBlock
 {
-    bool present = false;
-    std::uint64_t seed = 0xc4a05ULL;
+    bool reliable = true;    ///< mode reliable | raw.
+    std::string captureFile; ///< Nonempty: record the request stream.
+};
+
+/** Fault schedule against one workload host. */
+struct FaultSpec : Block
+{
     std::string target; ///< Host whose NIC/links take the faults.
-    int nicWedges = 3;
-    int linkFlaps = 2;
-    double flapDownUs = 5.0;
-    int lossBursts = 2;
-    int burstDrops = 4;
-
-    // Memory-chaos events against the target host's memory agent
-    // (coherence-layer fault injection; 0 = none).
-    int poisons = 0;      ///< Line-poison events on datapath lines.
-    int torns = 0;        ///< Torn-visibility windows.
-    int stuckLines = 0;   ///< Stuck-invalidation windows.
-    int brownouts = 0;    ///< Interconnect brownouts.
-    double brownoutFactor = 4.0; ///< Coherence-op stretch factor.
-
-    int line = 0, col = 0;
+    workload::ChaosConfig config;
 };
 
 /** Trace replay of a recorded request stream through the KV server. */
-struct ReplaySpec
+struct ReplaySpec : KvBlock
 {
-    bool present = false;
     std::string traceFile;
-    std::string server;
-    std::string client;
     bool preserveGaps = true; ///< pacing recorded | max.
-    int clientQueues = 2;
-    int serverThreads = 4;
-    std::uint64_t objects = 1u << 16;
-    std::string sizes = "ads";
-    std::uint32_t fixedBytes = 0;
-    double drainUs = 2000.0;
-    double minRtoUs = 0.0;
-    std::uint64_t seed = 42;
-    int line = 0, col = 0;
 };
 
 /** Loopback small-message latency sweep across interface families. */
-struct SweepSpec
+struct SweepSpec : Block
 {
-    bool present = false;
     std::vector<std::string> interfaces; ///< Canonical family keys.
     std::vector<std::uint32_t> sizes;
     int queues = 1;
-    double windowUs = 250.0;
-    int line = 0, col = 0;
 };
 
 /** One fully parsed and validated scenario. */

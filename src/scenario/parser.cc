@@ -1,14 +1,20 @@
 #include "scenario/parser.hh"
 
-#include <cmath>
+#include <algorithm>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <utility>
 
 #include "scenario/world.hh"
 
 namespace ccn::scenario {
 
 namespace {
+
+/// A block's property table: each keyword with the reader that parses
+/// its value into the block.
+using Props = std::vector<std::pair<std::string, std::function<void()>>>;
 
 /** Token-stream cursor with the shared error helpers. */
 class Parser
@@ -108,6 +114,84 @@ class Parser
         expect(TokKind::Semi, "';'");
     }
 
+    /**
+     * An identifier from @p allowed (@p what names it when missing);
+     * any other is "unknown <noun> '<text>' (<hint>)".
+     */
+    Token
+    oneOf(const std::string &what, const std::vector<std::string> &allowed,
+          const std::string &noun, const std::string &hint)
+    {
+        const Token t = expect(TokKind::Ident, what);
+        if (std::find(allowed.begin(), allowed.end(), t.text) ==
+            allowed.end())
+            fail(t, "unknown " + noun + " '" + t.text + "' (" + hint + ")");
+        return t;
+    }
+
+    /** An interface family, as its canonical key. */
+    std::string
+    family()
+    {
+        const Token t = peek();
+        const std::string key =
+            canonicalFamilyKey(expectIdent("an interface family"));
+        if (key.empty())
+            fail(t, "unknown interface family '" + t.text +
+                        "' (known: " + familyKeyList() + ")");
+        return key;
+    }
+
+    /** value_sizes: ads | geo | a fixed byte count. */
+    workload::SizeDist
+    sizes()
+    {
+        if (at(TokKind::Number)) {
+            const std::uint32_t b = positiveInt("value_sizes", 9600);
+            return workload::SizeDist({{1.0, b, b + 1}});
+        }
+        return oneOf("a size distribution", {"ads", "geo"},
+                     "size distribution",
+                     "expected ads, geo, or a byte count")
+                           .text == "geo"
+                   ? workload::SizeDist::geo()
+                   : workload::SizeDist::ads();
+    }
+
+    /** Mark @p b, a block a scenario declares once, as declared at @p t. */
+    void
+    declare(Block &b, const Token &t, const std::string &block)
+    {
+        if (b.present)
+            fail(t, "duplicate " + block + " block");
+        b.present = true;
+        b.line = t.line;
+        b.col = t.col;
+    }
+
+    /**
+     * A block body, `"{" { property ";" } "}"`: each property is read
+     * by its entry in @p props. @p what names a property in diagnostics.
+     */
+    void
+    body(const std::string &block, const std::string &what,
+         const Props &props)
+    {
+        expect(TokKind::LBrace, "'{'");
+        while (!at(TokKind::RBrace)) {
+            const Token p = expect(TokKind::Ident, what);
+            const auto it = std::find_if(
+                props.begin(), props.end(),
+                [&](const auto &e) { return e.first == p.text; });
+            if (it == props.end())
+                fail(p, "unknown keyword '" + p.text + "' in " + block +
+                            " block");
+            it->second();
+            semi();
+        }
+        next(); // '}'
+    }
+
     void
     statement(ScenarioSpec &spec)
     {
@@ -117,18 +201,13 @@ class Parser
                                "a quoted scenario name").text;
             semi();
         } else if (kw.text == "platform") {
-            const Token t = peek();
-            spec.platform = expectIdent("a platform name");
-            if (spec.platform != "icx" && spec.platform != "spr")
-                fail(t, "unknown platform '" + spec.platform +
-                            "' (expected icx or spr)");
+            spec.platform = oneOf("a platform name", {"icx", "spr"},
+                                  "platform", "expected icx or spr")
+                                .text;
             semi();
         } else if (kw.text == "profile") {
-            const Token t = peek();
-            const std::string what = expectIdent("a profile target");
-            if (what != "coherence")
-                fail(t, "unknown profile target '" + what +
-                            "' (only coherence is defined)");
+            oneOf("a profile target", {"coherence"}, "profile target",
+                  "only coherence is defined");
             spec.profileCoherence = true;
             semi();
         } else if (kw.text == "host") {
@@ -158,42 +237,19 @@ class Parser
         h.col = name.col;
         if (spec.host(h.name))
             fail(name, "duplicate host name '" + h.name + "'");
-        expect(TokKind::LBrace, "'{'");
-        while (!at(TokKind::RBrace)) {
-            const Token p = expect(TokKind::Ident, "a host property");
-            if (p.text == "interface") {
-                const Token t = peek();
-                const std::string key =
-                    canonicalFamilyKey(expectIdent(
-                        "an interface family"));
-                if (key.empty())
-                    fail(t, "unknown interface family '" + t.text +
-                                "' (known: " + familyKeyList() + ")");
-                h.interface = key;
-            } else if (p.text == "queues") {
-                h.queues = static_cast<int>(
-                    positiveInt("queues", 64));
-            } else if (p.text == "batch") {
-                const Token t = peek();
-                if (at(TokKind::Number)) {
-                    h.batch = std::to_string(
-                        positiveInt("batch", 4096));
-                } else {
-                    const std::string m =
-                        expectIdent("a batch mode");
-                    if (m != "off" && m != "adaptive")
-                        fail(t, "unknown batch mode '" + m +
-                                    "' (expected off, adaptive, or "
-                                    "a size)");
-                    h.batch = m;
-                }
-            } else {
-                fail(p, "unknown keyword '" + p.text +
-                            "' in host block");
-            }
-            semi();
-        }
-        next(); // '}'
+        body("host", "a host property", {
+            {"interface", [&] { h.interface = family(); }},
+            {"queues",
+             [&] { h.queues = static_cast<int>(positiveInt("queues", 64)); }},
+            {"batch", [&] {
+                 h.batch = at(TokKind::Number)
+                               ? std::to_string(positiveInt("batch", 4096))
+                               : oneOf("a batch mode", {"off", "adaptive"},
+                                       "batch mode",
+                                       "expected off, adaptive, or a size")
+                                     .text;
+             }},
+        });
         spec.hosts.push_back(h);
     }
 
@@ -207,351 +263,224 @@ class Parser
         l.endpoints.push_back(first.text);
         while (at(TokKind::Ident))
             l.endpoints.push_back(next().text);
-        expect(TokKind::LBrace, "'{'");
-        while (!at(TokKind::RBrace)) {
-            const Token p = expect(TokKind::Ident, "a link property");
-            if (p.text == "gbps")
-                l.gbps = numberIn("gbps", 1e-3, 1e4);
-            else if (p.text == "delay_ns")
-                l.delayNs = numberIn("delay_ns", 0, 1e9);
-            else if (p.text == "queue_pkts")
-                l.queuePackets = static_cast<int>(
-                    positiveInt("queue_pkts", 1e6));
-            else if (p.text == "loss")
-                l.loss = numberIn("loss", 0, 1);
-            else if (p.text == "dup")
-                l.dup = numberIn("dup", 0, 1);
-            else if (p.text == "reorder")
-                l.reorder = numberIn("reorder", 0, 1);
-            else if (p.text == "corrupt")
-                l.corrupt = numberIn("corrupt", 0, 1);
-            else if (p.text == "seed")
-                l.seed = seed();
-            else
-                fail(p, "unknown keyword '" + p.text +
-                            "' in link block");
-            semi();
-        }
-        next(); // '}'
+        net::LinkConfig &c = l.config;
+        net::FaultProfile &f = c.faults;
+        body("link", "a link property", {
+            {"gbps", [&] { c.gbps = numberIn("gbps", 1e-3, 1e4); }},
+            {"delay_ns",
+             [&] { c.propDelay = sim::fromNs(numberIn("delay_ns", 0, 1e9)); }},
+            {"queue_pkts",
+             [&] { c.queuePackets = positiveInt("queue_pkts", 1e6); }},
+            {"loss", [&] { f.dropRate = numberIn("loss", 0, 1); }},
+            {"dup", [&] { f.dupRate = numberIn("dup", 0, 1); }},
+            {"reorder", [&] { f.reorderRate = numberIn("reorder", 0, 1); }},
+            {"corrupt", [&] { f.corruptRate = numberIn("corrupt", 0, 1); }},
+            {"seed", [&] { f.seed = seed(); }},
+        });
         spec.links.push_back(l);
     }
 
-    /** value_sizes: ads | geo | a fixed byte count. */
-    void
-    parseSizes(std::string &sizes, std::uint32_t &fixed)
+    /**
+     * The nine properties of a workload block a replay block shares.
+     * The readers refer to @p b, which must outlive the table.
+     */
+    Props
+    kvProps(KvBlock &b)
     {
-        if (at(TokKind::Number)) {
-            sizes = "fixed";
-            fixed = positiveInt("value_sizes", 9600);
-            return;
-        }
-        const Token t = peek();
-        sizes = expectIdent("a size distribution");
-        if (sizes != "ads" && sizes != "geo")
-            fail(t, "unknown size distribution '" + sizes +
-                        "' (expected ads, geo, or a byte count)");
+        workload::ClientServerConfig &c = b.config;
+        return {
+            {"server", [&] { b.server = expectIdent("a host name"); }},
+            {"client", [&] { b.client = expectIdent("a host name"); }},
+            {"value_sizes", [&] { c.kv.sizes = sizes(); }},
+            {"objects",
+             [&] { c.kv.numObjects = positiveInt("objects", 1 << 24); }},
+            {"client_queues", [&] {
+                 c.clientQueues =
+                     static_cast<int>(positiveInt("client_queues", 64));
+             }},
+            {"server_threads", [&] {
+                 c.kv.serverThreads =
+                     static_cast<int>(positiveInt("server_threads", 64));
+             }},
+            {"drain_us",
+             [&] { c.drain = sim::fromUs(numberIn("drain_us", 0, 1e7)); }},
+            {"min_rto_us", [&] {
+                 // 0 keeps the transport's default.
+                 const double us = numberIn("min_rto_us", 0, 1e6);
+                 c.tp.minRto = us > 0 ? sim::fromUs(us)
+                                      : transport::TransportConfig().minRto;
+             }},
+            {"seed", [&] { c.seed = seed(); }},
+        };
     }
 
     void
     workloadBlock(ScenarioSpec &spec)
     {
-        const Token kind = expect(TokKind::Ident, "a workload kind");
-        if (kind.text != "kv")
-            fail(kind, "unknown workload kind '" + kind.text +
-                           "' (only kv is defined)");
-        if (spec.workload.present)
-            fail(kind, "duplicate workload block");
         WorkloadSpec &w = spec.workload;
-        w.present = true;
-        w.line = kind.line;
-        w.col = kind.col;
-        expect(TokKind::LBrace, "'{'");
-        while (!at(TokKind::RBrace)) {
-            const Token p = expect(TokKind::Ident,
-                                   "a workload property");
-            if (p.text == "mode") {
-                const Token t = peek();
-                const std::string m = expectIdent("a workload mode");
-                if (m == "reliable")
-                    w.reliable = true;
-                else if (m == "raw")
-                    w.reliable = false;
-                else
-                    fail(t, "unknown mode '" + m +
-                                "' (expected reliable or raw)");
-            } else if (p.text == "server") {
-                w.server = expectIdent("a host name");
-            } else if (p.text == "client") {
-                w.client = expectIdent("a host name");
-            } else if (p.text == "get_fraction") {
-                w.getFraction = numberIn("get_fraction", 0, 1);
-            } else if (p.text == "objects") {
-                w.objects = positiveInt("objects", 1 << 24);
-            } else if (p.text == "value_sizes") {
-                parseSizes(w.sizes, w.fixedBytes);
-            } else if (p.text == "offered_mops") {
-                w.offeredMops = numberIn("offered_mops", 1e-6, 1e4);
-            } else if (p.text == "request_bytes") {
-                w.requestBytes = positiveInt("request_bytes", 9600);
-            } else if (p.text == "client_queues") {
-                w.clientQueues = static_cast<int>(
-                    positiveInt("client_queues", 64));
-            } else if (p.text == "server_threads") {
-                w.serverThreads = static_cast<int>(
-                    positiveInt("server_threads", 64));
-            } else if (p.text == "warmup_us") {
-                w.warmupUs = numberIn("warmup_us", 0, 1e6);
-            } else if (p.text == "window_us") {
-                w.windowUs = numberIn("window_us", 1, 1e7);
-            } else if (p.text == "drain_us") {
-                w.drainUs = numberIn("drain_us", 0, 1e7);
-            } else if (p.text == "min_rto_us") {
-                w.minRtoUs = numberIn("min_rto_us", 0, 1e6);
-            } else if (p.text == "seed") {
-                w.seed = seed();
-            } else if (p.text == "capture") {
-                w.captureFile = expect(TokKind::String,
-                                       "a capture file path").text;
-            } else {
-                fail(p, "unknown keyword '" + p.text +
-                            "' in workload block");
-            }
-            semi();
-        }
-        next(); // '}'
+        declare(w, oneOf("a workload kind", {"kv"}, "workload kind",
+                         "only kv is defined"),
+                "workload");
+        workload::ClientServerConfig &c = w.config;
+        Props props = kvProps(w);
+        props.insert(props.end(), {
+            {"mode", [&] {
+                 w.reliable = oneOf("a workload mode", {"reliable", "raw"},
+                                    "mode", "expected reliable or raw")
+                                  .text == "reliable";
+             }},
+            {"get_fraction",
+             [&] { c.kv.getFraction = numberIn("get_fraction", 0, 1); }},
+            {"offered_mops", [&] {
+                 c.offeredOps = numberIn("offered_mops", 1e-6, 1e4) * 1e6;
+             }},
+            {"request_bytes",
+             [&] { c.requestBytes = positiveInt("request_bytes", 9600); }},
+            {"warmup_us",
+             [&] { c.warmup = sim::fromUs(numberIn("warmup_us", 0, 1e6)); }},
+            {"window_us",
+             [&] { c.window = sim::fromUs(numberIn("window_us", 1, 1e7)); }},
+            {"capture", [&] {
+                 w.captureFile =
+                     expect(TokKind::String, "a capture file path").text;
+             }},
+        });
+        body("workload", "a workload property", props);
     }
 
     void
     faultsBlock(ScenarioSpec &spec)
     {
-        if (spec.faults.present)
-            fail(peek(), "duplicate faults block");
         FaultSpec &f = spec.faults;
-        f.present = true;
-        f.line = peek().line;
-        f.col = peek().col;
-        expect(TokKind::LBrace, "'{'");
-        while (!at(TokKind::RBrace)) {
-            const Token p = expect(TokKind::Ident, "a fault property");
-            if (p.text == "seed")
-                f.seed = seed();
-            else if (p.text == "target")
-                f.target = expectIdent("a host name");
-            else if (p.text == "nic_wedges")
-                f.nicWedges = static_cast<int>(
-                    numberIn("nic_wedges", 0, 1e4));
-            else if (p.text == "link_flaps")
-                f.linkFlaps = static_cast<int>(
-                    numberIn("link_flaps", 0, 1e4));
-            else if (p.text == "flap_down_us")
-                f.flapDownUs = numberIn("flap_down_us", 0, 1e6);
-            else if (p.text == "loss_bursts")
-                f.lossBursts = static_cast<int>(
-                    numberIn("loss_bursts", 0, 1e4));
-            else if (p.text == "burst_drops")
-                f.burstDrops = static_cast<int>(
-                    numberIn("burst_drops", 0, 1e4));
-            else if (p.text == "poison")
-                f.poisons = static_cast<int>(
-                    numberIn("poison", 0, 1e4));
-            else if (p.text == "torn")
-                f.torns = static_cast<int>(numberIn("torn", 0, 1e4));
-            else if (p.text == "stuck_line")
-                f.stuckLines = static_cast<int>(
-                    numberIn("stuck_line", 0, 1e4));
-            else if (p.text == "brownout")
-                f.brownouts = static_cast<int>(
-                    numberIn("brownout", 0, 1e4));
-            else if (p.text == "brownout_factor")
-                f.brownoutFactor =
-                    numberIn("brownout_factor", 1, 1e3);
-            else
-                fail(p, "unknown keyword '" + p.text +
-                            "' in faults block");
-            semi();
-        }
-        next(); // '}'
+        declare(f, peek(), "faults");
+        workload::ChaosConfig &c = f.config;
+        const auto events = [this](const char *name, int &n) {
+            return Props::value_type(name, [this, name, &n] {
+                n = static_cast<int>(numberIn(name, 0, 1e4));
+            });
+        };
+        body("faults", "a fault property", {
+            {"seed", [&] { c.seed = seed(); }},
+            {"target", [&] { f.target = expectIdent("a host name"); }},
+            events("nic_wedges", c.nicWedges),
+            events("link_flaps", c.linkFlaps),
+            {"flap_down_us", [&] {
+                 c.flapDown = sim::fromUs(numberIn("flap_down_us", 0, 1e6));
+             }},
+            events("loss_bursts", c.lossBursts),
+            events("burst_drops", c.burstDrops),
+            events("poison", c.poisons),
+            events("torn", c.torns),
+            events("stuck_line", c.stuckLines),
+            events("brownout", c.brownouts),
+            {"brownout_factor", [&] {
+                 c.brownoutFactor = numberIn("brownout_factor", 1, 1e3);
+             }},
+        });
     }
 
     void
     replayBlock(ScenarioSpec &spec)
     {
-        if (spec.replay.present)
-            fail(peek(), "duplicate replay block");
         ReplaySpec &r = spec.replay;
-        r.present = true;
-        r.line = peek().line;
-        r.col = peek().col;
-        expect(TokKind::LBrace, "'{'");
-        while (!at(TokKind::RBrace)) {
-            const Token p = expect(TokKind::Ident,
-                                   "a replay property");
-            if (p.text == "trace") {
-                r.traceFile = expect(TokKind::String,
-                                     "a trace file path").text;
-            } else if (p.text == "server") {
-                r.server = expectIdent("a host name");
-            } else if (p.text == "client") {
-                r.client = expectIdent("a host name");
-            } else if (p.text == "pacing") {
-                const Token t = peek();
-                const std::string m = expectIdent("a pacing mode");
-                if (m == "recorded")
-                    r.preserveGaps = true;
-                else if (m == "max")
-                    r.preserveGaps = false;
-                else
-                    fail(t, "unknown pacing '" + m +
-                                "' (expected recorded or max)");
-            } else if (p.text == "client_queues") {
-                r.clientQueues = static_cast<int>(
-                    positiveInt("client_queues", 64));
-            } else if (p.text == "server_threads") {
-                r.serverThreads = static_cast<int>(
-                    positiveInt("server_threads", 64));
-            } else if (p.text == "objects") {
-                r.objects = positiveInt("objects", 1 << 24);
-            } else if (p.text == "value_sizes") {
-                parseSizes(r.sizes, r.fixedBytes);
-            } else if (p.text == "drain_us") {
-                r.drainUs = numberIn("drain_us", 0, 1e7);
-            } else if (p.text == "min_rto_us") {
-                r.minRtoUs = numberIn("min_rto_us", 0, 1e6);
-            } else if (p.text == "seed") {
-                r.seed = seed();
-            } else {
-                fail(p, "unknown keyword '" + p.text +
-                            "' in replay block");
-            }
-            semi();
-        }
-        next(); // '}'
+        declare(r, peek(), "replay");
+        Props props = kvProps(r);
+        props.insert(props.end(), {
+            {"trace", [&] {
+                 r.traceFile =
+                     expect(TokKind::String, "a trace file path").text;
+             }},
+            {"pacing", [&] {
+                 r.preserveGaps = oneOf("a pacing mode", {"recorded", "max"},
+                                        "pacing", "expected recorded or max")
+                                      .text == "recorded";
+             }},
+        });
+        body("replay", "a replay property", props);
     }
 
     void
     sweepBlock(ScenarioSpec &spec)
     {
-        const Token kind = expect(TokKind::Ident, "a sweep kind");
-        if (kind.text != "smallmsg")
-            fail(kind, "unknown sweep kind '" + kind.text +
-                           "' (only smallmsg is defined)");
-        if (spec.sweep.present)
-            fail(kind, "duplicate sweep block");
         SweepSpec &s = spec.sweep;
-        s.present = true;
-        s.line = kind.line;
-        s.col = kind.col;
-        expect(TokKind::LBrace, "'{'");
-        while (!at(TokKind::RBrace)) {
-            const Token p = expect(TokKind::Ident, "a sweep property");
-            if (p.text == "interfaces") {
-                do {
-                    const Token t = peek();
-                    const std::string key =
-                        canonicalFamilyKey(expectIdent(
-                            "an interface family"));
-                    if (key.empty())
-                        fail(t, "unknown interface family '" +
-                                    t.text + "' (known: " +
-                                    familyKeyList() + ")");
-                    s.interfaces.push_back(key);
-                } while (at(TokKind::Ident));
-            } else if (p.text == "sizes") {
-                do {
-                    s.sizes.push_back(positiveInt("sizes", 9600));
-                } while (at(TokKind::Number));
-            } else if (p.text == "queues") {
-                s.queues = static_cast<int>(
-                    positiveInt("queues", 64));
-            } else if (p.text == "window_us") {
-                s.windowUs = numberIn("window_us", 1, 1e7);
-            } else {
-                fail(p, "unknown keyword '" + p.text +
-                            "' in sweep block");
-            }
-            semi();
-        }
-        next(); // '}'
+        declare(s, oneOf("a sweep kind", {"smallmsg"}, "sweep kind",
+                         "only smallmsg is defined"),
+                "sweep");
+        body("sweep", "a sweep property", {
+            {"interfaces", [&] {
+                 do
+                     s.interfaces.push_back(family());
+                 while (at(TokKind::Ident));
+             }},
+            {"sizes", [&] {
+                 do
+                     s.sizes.push_back(positiveInt("sizes", 9600));
+                 while (at(TokKind::Number));
+             }},
+            {"queues",
+             [&] { s.queues = static_cast<int>(positiveInt("queues", 64)); }},
+        });
     }
 
     /** Cross-reference checks once the whole file is parsed. */
     void
     validate(const ScenarioSpec &spec) const
     {
+        const auto error = [&](const auto &site, const std::string &msg) {
+            throw ScenarioError(file_, site.line, site.col, msg);
+        };
         for (const LinkSpec &l : spec.links) {
             for (const std::string &ep : l.endpoints) {
                 if (!spec.host(ep))
-                    throw ScenarioError(
-                        file_, l.line, l.col,
-                        "link endpoint '" + ep +
-                            "' is not a declared host");
+                    error(l, "link endpoint '" + ep +
+                                 "' is not a declared host");
             }
         }
         const auto requireHost = [&](const std::string &role,
-                                     const std::string &name, int line,
-                                     int col) {
+                                     const std::string &name,
+                                     const Block &b) {
             if (name.empty())
-                throw ScenarioError(file_, line, col,
-                                    "missing " + role +
-                                        " host declaration");
+                error(b, "missing " + role + " host declaration");
             if (!spec.host(name))
-                throw ScenarioError(file_, line, col,
-                                    role + " '" + name +
-                                        "' is not a declared host");
+                error(b, role + " '" + name + "' is not a declared host");
         };
-        if (spec.workload.present) {
-            const WorkloadSpec &w = spec.workload;
-            requireHost("server", w.server, w.line, w.col);
-            requireHost("client", w.client, w.line, w.col);
+        const WorkloadSpec &w = spec.workload;
+        if (w.present) {
+            requireHost("server", w.server, w);
+            requireHost("client", w.client, w);
         }
         if (spec.faults.present) {
             const FaultSpec &f = spec.faults;
-            requireHost("target", f.target, f.line, f.col);
-            if (!spec.workload.present || !spec.workload.reliable)
-                throw ScenarioError(
-                    file_, f.line, f.col,
-                    "faults require a reliable kv workload (chaos "
-                    "recovery rides the transport)");
-            if (f.target != spec.workload.client &&
-                f.target != spec.workload.server)
-                throw ScenarioError(
-                    file_, f.line, f.col,
-                    "fault target '" + f.target +
-                        "' is not a workload host (declared hosts "
-                        "in this workload: server '" +
-                        spec.workload.server + "', client '" +
-                        spec.workload.client + "')");
+            requireHost("target", f.target, f);
+            if (!w.present || !w.reliable)
+                error(f, "faults require a reliable kv workload (chaos "
+                         "recovery rides the transport)");
+            if (f.target != w.client && f.target != w.server)
+                error(f, "fault target '" + f.target +
+                             "' is not a workload host (declared hosts "
+                             "in this workload: server '" +
+                             w.server + "', client '" + w.client + "')");
         }
         if (spec.replay.present) {
             const ReplaySpec &r = spec.replay;
-            requireHost("server", r.server, r.line, r.col);
-            requireHost("client", r.client, r.line, r.col);
+            requireHost("server", r.server, r);
+            requireHost("client", r.client, r);
             if (r.traceFile.empty())
-                throw ScenarioError(file_, r.line, r.col,
-                                    "replay block needs a trace "
-                                    "file");
-            if (spec.workload.present)
-                throw ScenarioError(
-                    file_, r.line, r.col,
-                    "a scenario declares either a workload or a "
-                    "replay, not both");
+                error(r, "replay block needs a trace file");
+            if (w.present)
+                error(r, "a scenario declares either a workload or a "
+                         "replay, not both");
         }
         if (spec.sweep.present) {
             const SweepSpec &s = spec.sweep;
             if (s.interfaces.empty() || s.sizes.empty())
-                throw ScenarioError(
-                    file_, s.line, s.col,
-                    "sweep needs at least one interface and one "
-                    "size");
-            if (spec.workload.present || spec.replay.present ||
-                !spec.hosts.empty())
-                throw ScenarioError(
-                    file_, s.line, s.col,
-                    "a sweep scenario is standalone (loopback "
-                    "worlds; no hosts/workload/replay blocks)");
+                error(s, "sweep needs at least one interface and one "
+                         "size");
+            if (w.present || spec.replay.present || !spec.hosts.empty())
+                error(s, "a sweep scenario is standalone (loopback "
+                         "worlds; no hosts/workload/replay blocks)");
         }
-        if (!spec.workload.present && !spec.replay.present &&
-            !spec.sweep.present)
+        if (!w.present && !spec.replay.present && !spec.sweep.present)
             throw ScenarioError(file_, 1, 1,
                                 "scenario declares nothing to run "
                                 "(workload, replay, or sweep)");

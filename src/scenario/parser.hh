@@ -12,33 +12,37 @@
  *               | "workload" "kv" "{" { kv-prop } "}"
  *               | "faults" "{" { fault-prop } "}"
  *               | "replay" "{" { replay-prop } "}"
- *               | "sweep" "smallmsg" "{" { sweep-prop } "}" ;
- *   host-prop   = "interface" ident ";" | "queues" number ";" ;
+ *               | "sweep" "smallmsg" "{" { sweep-prop } "}"
+ *               | "profile" "coherence" ";" ;
+ *   host-prop   = "interface" ident ";" | "queues" number ";"
+ *               | "batch" ( "off" | "adaptive" | number ) ";" ;
  *   link-prop   = ( "gbps" | "delay_ns" | "queue_pkts" | "loss"
  *                 | "dup" | "reorder" | "corrupt" | "seed" )
  *                 number ";" ;
- *   kv-prop     = "mode" ( "reliable" | "raw" ) ";"
- *               | ( "server" | "client" ) ident ";"
+ *   shared-prop = ( "server" | "client" ) ident ";"
  *               | "value_sizes" ( "ads" | "geo" | number ) ";"
- *               | "capture" string ";"
- *               | ( "get_fraction" | "objects" | "offered_mops"
- *                 | "request_bytes" | "client_queues"
- *                 | "server_threads" | "warmup_us" | "window_us"
+ *               | ( "objects" | "client_queues" | "server_threads"
  *                 | "drain_us" | "min_rto_us" | "seed" ) number ";" ;
+ *   kv-prop     = shared-prop
+ *               | "mode" ( "reliable" | "raw" ) ";"
+ *               | "capture" string ";"
+ *               | ( "get_fraction" | "offered_mops" | "request_bytes"
+ *                 | "warmup_us" | "window_us" ) number ";" ;
  *   fault-prop  = "target" ident ";"
  *               | ( "seed" | "nic_wedges" | "link_flaps"
  *                 | "flap_down_us" | "loss_bursts" | "burst_drops"
  *                 | "poison" | "torn" | "stuck_line" | "brownout"
  *                 | "brownout_factor" ) number ";" ;
- *   replay-prop = "trace" string ";"
- *               | ( "server" | "client" ) ident ";"
- *               | "pacing" ( "recorded" | "max" ) ";"
- *               | "value_sizes" ( "ads" | "geo" | number ) ";"
- *               | ( "client_queues" | "server_threads" | "objects"
- *                 | "drain_us" | "min_rto_us" | "seed" ) number ";" ;
+ *   replay-prop = shared-prop
+ *               | "trace" string ";"
+ *               | "pacing" ( "recorded" | "max" ) ";" ;
  *   sweep-prop  = "interfaces" ident { ident } ";"
  *               | "sizes" number { number } ";"
- *               | ( "queues" | "window_us" ) number ";" ;
+ *               | "queues" number ";" ;
+ *
+ * The parser writes each setting into the runtime config the run
+ * uses (ast.hh). A seed is any number in [0, 2^64), its fraction
+ * dropped.
  *
  * All diagnostics — lexical, syntactic, and semantic (duplicate host
  * names, dangling link endpoints, unknown interface families,

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 
-#include "apps/kvstore.hh"
 #include "mem/platform.hh"
 #include "net/fabric.hh"
 #include "obs/sampler.hh"
@@ -12,7 +11,6 @@
 #include "scenario/world.hh"
 #include "stats/table.hh"
 #include "transport/transport.hh"
-#include "workload/dists.hh"
 
 namespace ccn::scenario {
 
@@ -27,34 +25,15 @@ platformFor(const ScenarioSpec &spec)
                                   : mem::icxConfig();
 }
 
-workload::SizeDist
-sizeDistFor(const std::string &sizes, std::uint32_t fixed_bytes)
-{
-    if (sizes == "geo")
-        return workload::SizeDist::geo();
-    if (sizes == "fixed")
-        return workload::SizeDist({{1.0, fixed_bytes,
-                                    fixed_bytes + 1}});
-    return workload::SizeDist::ads();
-}
-
 /** Per-host link parameters: the last link block naming it wins. */
 net::LinkConfig
 linkFor(const ScenarioSpec &spec, const std::string &host)
 {
     net::LinkConfig lc;
     for (const LinkSpec &l : spec.links) {
-        if (std::find(l.endpoints.begin(), l.endpoints.end(), host) ==
+        if (std::find(l.endpoints.begin(), l.endpoints.end(), host) !=
             l.endpoints.end())
-            continue;
-        lc.gbps = l.gbps;
-        lc.propDelay = sim::fromNs(l.delayNs);
-        lc.queuePackets = static_cast<std::size_t>(l.queuePackets);
-        lc.faults.dropRate = l.loss;
-        lc.faults.dupRate = l.dup;
-        lc.faults.reorderRate = l.reorder;
-        lc.faults.corruptRate = l.corrupt;
-        lc.faults.seed = l.seed;
+            lc = l.config;
     }
     return lc;
 }
@@ -101,26 +80,6 @@ struct FabricRun
     std::vector<std::string> names;
 };
 
-workload::ClientServerConfig
-kvConfigFor(const WorkloadSpec &w)
-{
-    workload::ClientServerConfig cfg;
-    cfg.kv.serverThreads = w.serverThreads;
-    cfg.kv.numObjects = w.objects;
-    cfg.kv.getFraction = w.getFraction;
-    cfg.kv.sizes = sizeDistFor(w.sizes, w.fixedBytes);
-    cfg.offeredOps = w.offeredMops * 1e6;
-    cfg.requestBytes = w.requestBytes;
-    cfg.clientQueues = w.clientQueues;
-    cfg.warmup = sim::fromUs(w.warmupUs);
-    cfg.window = sim::fromUs(w.windowUs);
-    cfg.drain = sim::fromUs(w.drainUs);
-    cfg.seed = w.seed;
-    if (w.minRtoUs > 0)
-        cfg.tp.minRto = sim::fromUs(w.minRtoUs);
-    return cfg;
-}
-
 /** "scenario" identity section shared by every run mode. */
 void
 addScenarioSection(stats::JsonReport &json, const ScenarioSpec &spec,
@@ -152,24 +111,16 @@ runReplay(const ScenarioSpec &spec, FabricRun &run,
           ScenarioOutcome &out)
 {
     const ReplaySpec &r = spec.replay;
+    const workload::ClientServerConfig &cfg = r.config;
     const auto records = std::make_shared<const std::vector<TraceRecord>>(
         loadTrace(r.traceFile));
-
-    apps::KvConfig kv;
-    kv.serverThreads = r.serverThreads;
-    kv.numObjects = r.objects;
-    kv.sizes = sizeDistFor(r.sizes, r.fixedBytes);
-
-    transport::TransportConfig tp;
-    if (r.minRtoUs > 0)
-        tp.minRto = sim::fromUs(r.minRtoUs);
 
     HostWorld &server = run.host(r.server);
     HostWorld &client = run.host(r.client);
     transport::Endpoint server_ep(run.simv, server.system,
-                                  *server.nic, tp, "server");
+                                  *server.nic, cfg.tp, "server");
     transport::Endpoint client_ep(run.simv, client.system,
-                                  *client.nic, tp, "client");
+                                  *client.nic, cfg.tp, "client");
 
     // Every response counts, and sends stop at the horizon.
     const Tick start = run.simv.now();
@@ -181,12 +132,12 @@ runReplay(const ScenarioSpec &spec, FabricRun &run,
     workload::ReliableClock clock;
     clock.measureStart = start;
     clock.measureEnd = sim::kTickMax;
-    clock.runUntil = start + span + sim::fromUs(r.drainUs);
+    clock.runUntil = start + span + cfg.drain;
 
     // Round-robin the trace across one connection per client queue;
     // each connection's subsequence keeps the recorded time order and
     // sends each record at start + t_ns when paced, else at once.
-    const auto conns = static_cast<std::size_t>(std::max(1, r.clientQueues));
+    const auto conns = static_cast<std::size_t>(std::max(1, cfg.clientQueues));
     std::vector<workload::RequestSource> sources;
     for (std::size_t c = 0; c < conns; ++c) {
         sources.push_back([records, conns, c, start, paced] {
@@ -205,7 +156,7 @@ runReplay(const ScenarioSpec &spec, FabricRun &run,
 
     out.kv = workload::runReliableClients(
         run.simv, server.system, server_ep, client_ep,
-        run.addr(r.server), kv, r.seed, clock, sources);
+        run.addr(r.server), cfg.kv, cfg.seed, clock, sources);
 
     stats::Table t({"trace_ops", "sent", "responses", "lost",
                     "duplicates", "rtt_p50_ns", "rtt_p99_ns",
@@ -222,7 +173,7 @@ void
 runKv(const ScenarioSpec &spec, FabricRun &run, ScenarioOutcome &out)
 {
     const WorkloadSpec &w = spec.workload;
-    workload::ClientServerConfig cfg = kvConfigFor(w);
+    workload::ClientServerConfig cfg = w.config;
     if (!w.captureFile.empty()) {
         Tick start = run.simv.now();
         cfg.onRequest = [&out, start](Tick at, bool get,
@@ -239,20 +190,8 @@ runKv(const ScenarioSpec &spec, FabricRun &run, ScenarioOutcome &out)
     const std::uint32_t server_addr = run.addr(w.server);
 
     if (spec.faults.present) {
-        workload::ChaosConfig chaos;
-        chaos.seed = spec.faults.seed;
-        chaos.nicWedges = spec.faults.nicWedges;
-        chaos.linkFlaps = spec.faults.linkFlaps;
-        chaos.flapDown = sim::fromUs(spec.faults.flapDownUs);
-        chaos.lossBursts = spec.faults.lossBursts;
-        chaos.burstDrops = spec.faults.burstDrops;
-        chaos.poisons = spec.faults.poisons;
-        chaos.torns = spec.faults.torns;
-        chaos.stuckLines = spec.faults.stuckLines;
-        chaos.brownouts = spec.faults.brownouts;
-        chaos.brownoutFactor = spec.faults.brownoutFactor;
-        chaos.targetServer =
-            spec.faults.target == spec.workload.server;
+        workload::ChaosConfig chaos = spec.faults.config;
+        chaos.targetServer = spec.faults.target == w.server;
         out.chaos = workload::runKvClientServerChaos(
             run.simv, server.system, *server.nic, client.system,
             *client.nic, run.fabric, server_addr,

@@ -226,14 +226,15 @@ TEST(ScenarioParser, FullKvSpecParses)
     // registry key.
     EXPECT_EQ(spec.hosts[1].interface, "pcie_e810");
     ASSERT_EQ(spec.links.size(), 1u);
-    EXPECT_EQ(spec.links[0].gbps, 25.0);
-    EXPECT_EQ(spec.links[0].loss, 0.01);
-    EXPECT_EQ(spec.links[0].seed, 7u);
+    EXPECT_EQ(spec.links[0].config.gbps, 25.0);
+    EXPECT_EQ(spec.links[0].config.faults.dropRate, 0.01);
+    EXPECT_EQ(spec.links[0].config.faults.seed, 7u);
     EXPECT_TRUE(spec.workload.present);
     EXPECT_TRUE(spec.workload.reliable);
-    EXPECT_EQ(spec.workload.getFraction, 0.9);
-    EXPECT_EQ(spec.workload.objects, 1024u);
-    EXPECT_EQ(spec.workload.sizes, "geo");
+    EXPECT_EQ(spec.workload.config.kv.getFraction, 0.9);
+    EXPECT_EQ(spec.workload.config.kv.numObjects, 1024u);
+    EXPECT_EQ(spec.workload.config.kv.sizes.mean(),
+              workload::SizeDist::geo().mean());
     EXPECT_EQ(spec.workload.captureFile, "c.trace");
 }
 
@@ -264,8 +265,9 @@ TEST(ScenarioParser, FixedValueSizes)
     const ScenarioSpec spec = parse(
         "host a { }\nhost b { }\n"
         "workload kv { server a; client b; value_sizes 256; }");
-    EXPECT_EQ(spec.workload.sizes, "fixed");
-    EXPECT_EQ(spec.workload.fixedBytes, 256u);
+    sim::Rng rng;
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(spec.workload.config.kv.sizes.sample(rng), 256u);
 }
 
 TEST(ScenarioParser, SweepSpecParses)
