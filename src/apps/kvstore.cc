@@ -24,7 +24,7 @@ constexpr double kIndexCycles = 80;  ///< Hash + bucket walk computation.
 struct KvServer::State
 {
     State(mem::CoherentSystem &m, const KvConfig &cfg, sim::Rng &rng)
-        : zipf(cfg.numObjects, kZipfSkew), msys(&m)
+        : msys(&m)
     {
         // Hash index: open-addressed 8B entries, 2x objects.
         indexBase = m.alloc(0, cfg.numObjects * 2 * 8, 4096);
@@ -56,7 +56,6 @@ struct KvServer::State
     State(const State &) = delete;
     State &operator=(const State &) = delete;
 
-    workload::ZipfSampler zipf;
     mem::CoherentSystem *msys;
     std::vector<obs::RegionId> profRegions;
     Addr indexBase = 0;
@@ -229,7 +228,9 @@ sim::Task
 clientGen(sim::Simulator &sim, driver::NicInterface &nic,
           std::function<void(int, const WirePacket &)> inject,
           std::shared_ptr<WireModel> inbound, const KvConfig cfg,
-          std::shared_ptr<KvServer::State> st, std::uint64_t seed)
+          std::shared_ptr<KvServer::State> st,
+          std::shared_ptr<const workload::ZipfSampler> zipf,
+          std::uint64_t seed)
 {
     sim::Rng rng(seed);
     const int queues = nic.numQueues();
@@ -243,7 +244,7 @@ clientGen(sim::Simulator &sim, driver::NicInterface &nic,
             co_await sim.delayUntil(next);
         if (sim.now() >= st->measureEnd)
             break;
-        const std::uint64_t key = st->zipf.sample(rng);
+        const std::uint64_t key = zipf->sample(rng);
         const bool get = rng.uniform() < cfg.getFraction;
         WirePacket pkt;
         pkt.len = kRequestBytes;
@@ -325,13 +326,16 @@ runKvStore(sim::Simulator &sim, mem::CoherentSystem &mem_system,
     });
 
     server.start(sim, mem_system, nic, st->measureEnd);
-    // Two remote clients (paper: enough to saturate the server).
+    // Two remote clients (paper: enough to saturate the server), one
+    // key distribution.
     auto inbound = std::make_shared<WireModel>(sim, wire.pps.rate(),
                                                wire.bytes.rate());
+    const auto zipf = std::make_shared<const workload::ZipfSampler>(
+        cfg.numObjects, kZipfSkew);
     for (int c = 0; c < 2; ++c) {
         KvConfig half = cfg;
         half.offeredOps = cfg.offeredOps / 2;
-        sim.spawn(clientGen(sim, nic, inject, inbound, half, st,
+        sim.spawn(clientGen(sim, nic, inject, inbound, half, st, zipf,
                             cfg.seed * 31 + c));
     }
     sim.run(st->measureEnd + sim::fromUs(20.0));
