@@ -1121,10 +1121,12 @@ CoherentSystem::auditDirectory() const
         });
     }
 
+    std::unordered_map<Addr, int> llcCopies;
     for (int k = 0; k < cfg_.sockets; ++k) {
         const std::uint8_t bit = std::uint8_t(1) << k;
         const std::string at = "LLC " + std::to_string(k);
         llc_[k].forEachValid([&](Addr line, std::size_t) {
+            llcCopies[line]++;
             if (!(entry(line).llcMask & bit))
                 report(line, at + " holds the line; llcMask says not");
         });
@@ -1134,6 +1136,15 @@ CoherentSystem::auditDirectory() const
                 report(line, "llcMask or llcDirty names " + at +
                                  ", which does not hold the line");
         }
+    }
+    // At most one LLC holds a line: the walk's write block relies on it.
+    for (const auto &[line, d] : dir) {
+        if (std::popcount(d->llcMask) > 1)
+            report(line, "llcMask names more than one LLC");
+    }
+    for (const auto &[line, n] : llcCopies) {
+        if (n > 1)
+            report(line, std::to_string(n) + " LLCs hold the line");
     }
     std::sort(out.begin(), out.end());
     return out;

@@ -318,8 +318,9 @@ class CoherentSystem
      * message per violation (empty when they agree). Every valid L2
      * copy must be covered by the line's owner or sharers; an E or M
      * copy must be at the owner, with no other L2 or LLC holding the
-     * line; every LLC copy must be in llcMask, and llcMask / llcDirty
-     * may name only an LLC that holds the line.
+     * line; every LLC copy must be in llcMask, llcMask / llcDirty
+     * may name only an LLC that holds the line, and at most one LLC
+     * may hold it.
      */
     std::vector<std::string> auditDirectory() const;
 
