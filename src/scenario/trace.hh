@@ -12,8 +12,9 @@
  * nanoseconds from run start and `bytes` is the request payload size
  * put on the wire. The three numbers are unsigned decimal integers
  * without a sign; `key` and `bytes` fit in 32 bits and `t_ns` is at
- * most half the tick range in nanoseconds (about 9.2e15). Responses are not recorded — replay regenerates
- * them by running the same keyspace-seeded KV server.
+ * most half the tick range in nanoseconds (about 9.2e15). Responses
+ * are not recorded — replay regenerates them by running the same
+ * keyspace-seeded KV server.
  */
 
 #ifndef CCN_SCENARIO_TRACE_HH
@@ -41,7 +42,8 @@ void saveTrace(const std::string &path,
 /**
  * Parse a ccn-kv-trace file. Throws ScenarioError (file:line:1) on a
  * missing/bad header, a malformed record line (including a signed or
- * out-of-range field), or an unreadable path. Blank lines and `#` comments after the header are skipped.
+ * out-of-range field), or an unreadable path. Blank lines and `#`
+ * comments after the header are skipped.
  */
 std::vector<TraceRecord> loadTrace(const std::string &path);
 
