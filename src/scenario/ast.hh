@@ -63,7 +63,7 @@ struct Block
 /** What a workload and a replay block share: two hosts, one KV run. */
 struct KvBlock : Block
 {
-    /// The library's defaults, but for the six the DSL sets lower.
+    /// The library's defaults, but for six the DSL sets its own.
     KvBlock()
     {
         config.kv.numObjects = 1u << 16;
