@@ -2,8 +2,8 @@
  * @file
  * Scenario subsystem tests: lexer/parser diagnostics (every error a
  * file:line:col), trace round-tripping, and end-to-end scenario runs
- * — reliable KV over the fabric, KV over the PIO family, a chaos
- * schedule, a loopback sweep, and the capture→replay loop whose
+ * — raw and reliable KV over the fabric, KV over the PIO family, a
+ * chaos schedule, a loopback sweep, and the capture→replay loop whose
  * replayed op count and loss must match the live run.
  */
 
@@ -452,6 +452,32 @@ TEST(ScenarioRun, CaptureThenReplayPreservesOps)
     EXPECT_EQ(replay.kv.duplicateResponses, 0u);
     EXPECT_DOUBLE_EQ(replay.kv.rttP50Ns, 4685.824);
     EXPECT_DOUBLE_EQ(replay.kv.rttP99Ns, 8797.776);
+    std::remove(trace.c_str());
+}
+
+TEST(ScenarioRun, RawKvWithCapturePinned)
+{
+    // The raw datagram client (no transport) with a capture: exact
+    // counts and RTTs pinned so a change to the raw client's request
+    // stream that claims identical output is checked.
+    const std::string trace = tempPath("raw.trace");
+    const auto out = scenario::runScenario(
+        parse("scenario \"raw\";\n"
+              "host server { interface ccnic; queues 2; }\n"
+              "host client { interface ccnic; queues 2; }\n"
+              "link server client { gbps 25; queue_pkts 128; }\n"
+              "workload kv { mode raw; server server; client client; "
+              "objects 4096; offered_mops 2; client_queues 2; "
+              "server_threads 2; window_us 100; capture \"" +
+              trace + "\"; }\n"),
+        true);
+    EXPECT_EQ(out.mode, "kv_raw");
+    EXPECT_EQ(out.captured.size(), out.raw.requestsSent);
+    EXPECT_EQ(out.raw.requestsSent, 308u);
+    EXPECT_EQ(out.raw.responses, 203u);
+    EXPECT_EQ(out.raw.txBackpressure, 0u);
+    EXPECT_DOUBLE_EQ(out.raw.rttP50Ns, 4816.896);
+    EXPECT_DOUBLE_EQ(out.raw.rttP99Ns, 8585.216);
     std::remove(trace.c_str());
 }
 
