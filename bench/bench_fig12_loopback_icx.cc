@@ -21,10 +21,7 @@ main()
                     "min_ns", "lat80_ns"});
     for (std::uint32_t pkt : {64u, 1500u}) {
         for (int cores : {1, 2, 4, 8, 16}) {
-            auto mk = [&] {
-                return makeCcNicWorld(
-                    icx, ccnic::optimizedConfig(cores, 0, icx));
-            };
+            const auto mk = worldFactory("ccnic", icx, cores);
             workload::LoopbackConfig cfg;
             cfg.threads = cores;
             cfg.pktSize = pkt;
@@ -39,9 +36,7 @@ main()
                                       peak.achievedMpps * 1e6, 0.8), 0);
         }
         for (int cores : {1, 4, 16}) {
-            auto mk = [&] {
-                return makePcieWorld(icx, nic::cx6Params(), cores);
-            };
+            const auto mk = worldFactory("pcie_cx6", icx, cores);
             workload::LoopbackConfig cfg;
             cfg.threads = cores;
             cfg.pktSize = pkt;

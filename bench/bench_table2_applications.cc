@@ -6,7 +6,6 @@
  * (CX6) interfaces.
  */
 
-#include "apps/kvstore.hh"
 #include "apps/tcprpc.hh"
 #include "bench/common.hh"
 #include "stats/json.hh"
@@ -16,26 +15,15 @@ using namespace ccn::bench;
 
 namespace {
 
-std::unique_ptr<World>
-makeWorld(bool ccnic_kind, int threads)
-{
-    auto icx = mem::icxConfig();
-    if (!ccnic_kind)
-        return makePcieWorld(icx, nic::cx6Params(), threads);
-    auto cfg = ccnic::optimizedConfig(threads, 0, icx);
-    cfg.loopback = false;
-    return makeCcNicWorld(icx, cfg);
-}
-
+/** Peak of @p run over @p counts, and the first count within 5% of it. */
 template <typename RunFn>
 std::pair<double, int>
-peakAndThreads(bool ccnic_kind, const std::vector<int> &counts,
-               RunFn run)
+peakAndThreads(const std::vector<int> &counts, RunFn run)
 {
     double peak = 0;
     std::vector<double> at(counts.size());
     for (std::size_t i = 0; i < counts.size(); ++i) {
-        at[i] = run(ccnic_kind, counts[i]);
+        at[i] = run(counts[i]);
         peak = std::max(peak, at[i]);
     }
     for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -46,48 +34,9 @@ peakAndThreads(bool ccnic_kind, const std::vector<int> &counts,
 }
 
 double
-runKvAt(bool ccnic_kind, int threads, const workload::SizeDist &dist,
-        double offered)
+runRpcAt(const char *key, int threads, double offered)
 {
-    auto w = makeWorld(ccnic_kind, threads);
-    apps::WireModel wire(w->simv, 76e6, 25e9);
-    apps::KvConfig cfg;
-    cfg.serverThreads = threads;
-    cfg.sizes = dist;
-    cfg.numObjects = 1u << 18;
-    cfg.offeredOps = offered;
-    cfg.window = sim::fromUs(150.0);
-    auto inject = [&](int q, const ccnic::WirePacket &p) {
-        w->nic->injectRx(q, p);
-    };
-    auto sink =
-        [&](std::function<void(int, const ccnic::WirePacket &)> s) {
-            w->nic->setTxSink(std::move(s));
-        };
-    return apps::runKvStore(w->simv, w->system, *w->nic, inject, sink,
-                            wire, cfg)
-        .mopsPerSec;
-}
-
-/** Maximum sustainable rate: sweep offered load (open-loop overload
- *  collapses served rates, so the peak of the sweep is reported). */
-double
-runKv(bool ccnic_kind, int threads, const workload::SizeDist &dist)
-{
-    double best = 0;
-    for (double per_thread : {5e6, 8e6, 12e6}) {
-        const double offered =
-            std::min(100e6, per_thread * threads + 2e6);
-        best = std::max(best,
-                        runKvAt(ccnic_kind, threads, dist, offered));
-    }
-    return best;
-}
-
-double
-runRpcAt(bool ccnic_kind, int threads, double offered)
-{
-    auto w = makeWorld(ccnic_kind, threads);
+    auto w = worldFactory(key, mem::icxConfig(), threads, false)();
     // The CX6 caps 64B echo RPCs below its raw packet rate (TAS's
     // measured ceiling, §5.7).
     apps::WireModel wire(w->simv, 66e6, 25e9);
@@ -95,26 +44,18 @@ runRpcAt(bool ccnic_kind, int threads, double offered)
     cfg.fastPathThreads = threads;
     cfg.offeredOps = offered;
     cfg.window = sim::fromUs(150.0);
-    auto inject = [&](int q, const ccnic::WirePacket &p) {
-        w->nic->injectRx(q, p);
-    };
-    auto sink =
-        [&](std::function<void(int, const ccnic::WirePacket &)> s) {
-            w->nic->setTxSink(std::move(s));
-        };
-    return apps::runTcpRpc(w->simv, w->system, *w->nic, inject, sink,
-                           wire, cfg)
+    return apps::runTcpRpc(w->simv, w->system, *w->nic, wire, cfg)
         .mopsPerSec;
 }
 
 double
-runRpc(bool ccnic_kind, int threads)
+runRpc(const char *key, int threads)
 {
     double best = 0;
     for (double per_thread : {8e6, 12e6, 17e6}) {
         const double offered =
             std::min(70e6, per_thread * threads + 2e6);
-        best = std::max(best, runRpcAt(ccnic_kind, threads, offered));
+        best = std::max(best, runRpcAt(key, threads, offered));
     }
     return best;
 }
@@ -132,33 +73,30 @@ main()
     const std::vector<int> kv_counts = {2, 4, 8, 12, 16};
     const std::vector<int> rpc_counts = {1, 2, 3, 4, 5, 6, 8};
 
-    auto ads = workload::SizeDist::ads();
-    auto geo = workload::SizeDist::geo();
+    for (const char *dist : {"ads", "geo"}) {
+        const auto d = std::string(dist) == "ads"
+                           ? workload::SizeDist::ads()
+                           : workload::SizeDist::geo();
+        auto kv = [&](const char *key) {
+            return peakAndThreads(kv_counts, [&](int n) {
+                return kvPeakMops(key, n, d);
+            });
+        };
+        const auto [p_peak, p_thr] = kv("pcie_cx6");
+        const auto [c_peak, c_thr] = kv("ccnic");
+        t.row().cell(std::string("KV store (") + dist + ")")
+            .cell(p_peak, 1).cell(c_peak, 1).cell(p_thr).cell(c_thr)
+            .cell(std::string(dist) == "ads"
+                      ? "37.0 / 42.3 Mops; 16 -> 8 threads"
+                      : "17.8 / 17.9 Mops; 8 -> 4 threads");
+    }
 
-    auto [ads_p_peak, ads_p_thr] = peakAndThreads(
-        false, kv_counts,
-        [&](bool k, int n) { return runKv(k, n, ads); });
-    auto [ads_c_peak, ads_c_thr] = peakAndThreads(
-        true, kv_counts,
-        [&](bool k, int n) { return runKv(k, n, ads); });
-    t.row().cell("KV store (ads)").cell(ads_p_peak, 1)
-        .cell(ads_c_peak, 1).cell(ads_p_thr).cell(ads_c_thr)
-        .cell("37.0 / 42.3 Mops; 16 -> 8 threads");
-
-    auto [geo_p_peak, geo_p_thr] = peakAndThreads(
-        false, kv_counts,
-        [&](bool k, int n) { return runKv(k, n, geo); });
-    auto [geo_c_peak, geo_c_thr] = peakAndThreads(
-        true, kv_counts,
-        [&](bool k, int n) { return runKv(k, n, geo); });
-    t.row().cell("KV store (geo)").cell(geo_p_peak, 1)
-        .cell(geo_c_peak, 1).cell(geo_p_thr).cell(geo_c_thr)
-        .cell("17.8 / 17.9 Mops; 8 -> 4 threads");
-
-    auto [rpc_p_peak, rpc_p_thr] = peakAndThreads(
-        false, rpc_counts, [&](bool k, int n) { return runRpc(k, n); });
-    auto [rpc_c_peak, rpc_c_thr] = peakAndThreads(
-        true, rpc_counts, [&](bool k, int n) { return runRpc(k, n); });
+    auto rpc = [&](const char *key) {
+        return peakAndThreads(rpc_counts,
+                              [&](int n) { return runRpc(key, n); });
+    };
+    const auto [rpc_p_peak, rpc_p_thr] = rpc("pcie_cx6");
+    const auto [rpc_c_peak, rpc_c_thr] = rpc("ccnic");
     t.row().cell("TCP echo RPC").cell(rpc_p_peak, 1)
         .cell(rpc_c_peak, 1).cell(rpc_p_thr).cell(rpc_c_thr)
         .cell("58.3 / 64.6 Mops; 5 -> 3 threads");

@@ -11,7 +11,7 @@
  * src/scenario/world.hh (shared with the scenario runner); this
  * header re-exports them under ccn::bench so the per-figure binaries
  * keep their historical spelling, and adds the bench-only
- * command-line plumbing.
+ * command-line plumbing and the KV peak sweep fig19 and Table 2 share.
  */
 
 #ifndef CCN_BENCH_COMMON_HH
@@ -20,6 +20,7 @@
 #include <fstream>
 #include <string>
 
+#include "apps/kvstore.hh"
 #include "obs/trace.hh"
 #include "scenario/world.hh"
 
@@ -28,7 +29,6 @@ namespace ccn::bench {
 using scenario::World;
 using scenario::addObsSections;
 using scenario::makeCcNicWorld;
-using scenario::makePcieWorld;
 using scenario::InterfaceFamily;
 using scenario::interfaceFamilies;
 using scenario::familyLabel;
@@ -87,6 +87,42 @@ struct BenchOptions
         f << obs::Trace::global().json() << "\n";
     }
 };
+
+/**
+ * Peak served KV Mops of @p threads server threads on interface family
+ * @p key (fig19, Table 2): the KV store behind a 76 Mpps / 25 GB/s
+ * wire, 2^18 objects (a scaled count, same Zipf skew) and a 150 us
+ * window. Open-loop overload collapses served rates, so the best of an
+ * offered-load sweep is the maximum sustainable rate.
+ */
+inline double
+kvPeakMops(const std::string &key, int threads,
+           const workload::SizeDist &dist)
+{
+    const auto factory =
+        worldFactory(key, mem::icxConfig(), threads, false);
+    double best = 0;
+    for (double per_thread : {5e6, 8e6, 12e6}) {
+        auto w = factory();
+        apps::WireModel wire(w->simv, 76e6, 25e9);
+        apps::KvConfig cfg;
+        cfg.serverThreads = threads;
+        cfg.sizes = dist;
+        cfg.numObjects = 1u << 18;
+        cfg.offeredOps = std::min(100e6, per_thread * threads + 2e6);
+        cfg.window = sim::fromUs(150.0);
+        driver::NicInterface &nic = *w->nic;
+        const apps::KvResult r = apps::runKvStore(
+            w->simv, w->system, nic,
+            [&nic](int q, const driver::WirePacket &p) {
+                nic.injectRx(q, p);
+            },
+            [&nic](apps::FrameFn s) { nic.setTxSink(std::move(s)); },
+            wire, cfg);
+        best = std::max(best, r.mopsPerSec);
+    }
+    return best;
+}
 
 } // namespace ccn::bench
 

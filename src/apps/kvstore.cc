@@ -12,9 +12,8 @@ using sim::Tick;
 namespace {
 
 constexpr int kBurst = 32;
-constexpr std::uint32_t kRequestBytes = 64; ///< Loopback client GET/SET.
+constexpr std::uint32_t kRequestBytes = 64; ///< Overlay client GET/SET.
 constexpr std::uint32_t kHeaderBytes = 32;  ///< Response header.
-constexpr Tick kWarmup = sim::fromUs(50.0); ///< Loopback harness.
 constexpr double kParseCycles = 200; ///< Request parse + RPC dispatch.
 constexpr double kIndexCycles = 80;  ///< Hash + bucket walk computation.
 
@@ -64,10 +63,6 @@ struct KvServer::State
     std::vector<std::uint32_t> objLen;
 
     Tick runUntil = 0;
-    Tick measureStart = 0;
-    Tick measureEnd = 0;
-    std::uint64_t served = 0;
-    std::uint64_t servedBytes = 0;
 
     /// Per-thread zero-copy segment descriptor pools; owned here so
     /// they outlive the server threads (the NIC engine may still hold
@@ -159,22 +154,8 @@ serverThread(sim::Simulator &sim, mem::CoherentSystem &m,
         for (int i = 0; i < nresp; ++i)
             hdr_spans.push_back({resp[i]->addr, kHeaderBytes});
         co_await m.postMulti(agent, hdr_spans, nullptr);
-
-        int sent = 0;
-        while (sent < nresp) {
-            const int tx =
-                co_await nic.txBurst(q, resp + sent, nresp - sent);
-            if (tx == 0) {
-                co_await sim.delay(sim::fromNs(200.0));
-                if (sim.now() >= st->runUntil)
-                    break;
-                continue;
-            }
-            sent += tx;
-        }
-        if (sent < nresp)
-            co_await nic.freeBufs(q, resp + sent, nresp - sent);
-        co_await nic.freeBufs(q, reqs, nr);
+        co_await sendAndFree(sim, nic, q, resp, nresp, reqs, nr,
+                             st->runUntil);
     }
     co_return;
 }
@@ -215,47 +196,7 @@ serveConnTask(sim::Simulator &sim, mem::CoherentSystem &m,
         }
         // Echo userData and the request's original stamp so the
         // client measures end-to-end RTT across retransmissions.
-        if (co_await conn->send(resp_len, req.userData, req.txTime)) {
-            st->served++;
-            st->servedBytes += resp_len;
-        }
-    }
-    co_return;
-}
-
-/** Client generator injecting requests through the inbound wire. */
-sim::Task
-clientGen(sim::Simulator &sim, driver::NicInterface &nic,
-          std::function<void(int, const WirePacket &)> inject,
-          std::shared_ptr<WireModel> inbound, const KvConfig cfg,
-          std::shared_ptr<KvServer::State> st,
-          std::shared_ptr<const workload::ZipfSampler> zipf,
-          std::uint64_t seed)
-{
-    sim::Rng rng(seed);
-    const int queues = nic.numQueues();
-    const double rate = cfg.offeredOps;
-    Tick next = sim.now();
-    std::uint64_t n = 0;
-    while (sim.now() < st->measureEnd) {
-        next += static_cast<Tick>(
-            rng.exponential(static_cast<double>(sim::kSecond) / rate));
-        if (next > sim.now())
-            co_await sim.delayUntil(next);
-        if (sim.now() >= st->measureEnd)
-            break;
-        const std::uint64_t key = zipf->sample(rng);
-        const bool get = rng.uniform() < cfg.getFraction;
-        WirePacket pkt;
-        pkt.len = kRequestBytes;
-        pkt.txTime = sim.now();
-        pkt.flowId = n;
-        pkt.userData = packKvRequest(key, get);
-        const int q = static_cast<int>(n % queues);
-        const Tick at = inbound->admit(pkt.len);
-        auto inj = inject;
-        sim.scheduleCallback(at, [inj, q, pkt] { inj(q, pkt); });
-        n++;
+        co_await conn->send(resp_len, req.userData, req.txTime);
     }
     co_return;
 }
@@ -301,53 +242,30 @@ KvServer::startOverTransport(sim::Simulator &sim,
 
 KvResult
 runKvStore(sim::Simulator &sim, mem::CoherentSystem &mem_system,
-           driver::NicInterface &nic,
-           std::function<void(int, const WirePacket &)> inject,
-           std::function<void(
-               std::function<void(int, const WirePacket &)>)>
-               set_tx_sink,
-           WireModel &wire, const KvConfig &cfg)
+           driver::NicInterface &nic, FrameFn inject,
+           std::function<void(FrameFn)> set_tx_sink, WireModel &wire,
+           const KvConfig &cfg)
 {
     sim::Rng rng(cfg.seed);
     KvServer server(mem_system, cfg, rng);
-    auto st = server.shared();
-    st->measureStart = sim.now() + kWarmup;
-    st->measureEnd = st->measureStart + cfg.window;
-
-    // Outbound responses pass the wire cap and are counted.
-    std::shared_ptr<KvServer::State> stp = st;
-    WireModel *wp = &wire;
-    set_tx_sink([stp, wp](int, const WirePacket &pkt) {
-        const Tick exit = wp->admit(pkt.len, pkt.segments);
-        if (exit >= stp->measureStart && exit < stp->measureEnd) {
-            stp->served++;
-            stp->servedBytes += pkt.len;
-        }
-    });
-
-    server.start(sim, mem_system, nic, st->measureEnd);
     // Two remote clients (paper: enough to saturate the server), one
     // key distribution.
-    auto inbound = std::make_shared<WireModel>(sim, wire.pps.rate(),
-                                               wire.bytes.rate());
-    const auto zipf = std::make_shared<const workload::ZipfSampler>(
+    auto zipf = std::make_shared<const workload::ZipfSampler>(
         cfg.numObjects, kZipfSkew);
-    for (int c = 0; c < 2; ++c) {
-        KvConfig half = cfg;
-        half.offeredOps = cfg.offeredOps / 2;
-        sim.spawn(clientGen(sim, nic, inject, inbound, half, st, zipf,
-                            cfg.seed * 31 + c));
-    }
-    sim.run(st->measureEnd + sim::fromUs(20.0));
-
-    KvResult r;
-    r.served = st->served;
-    r.mopsPerSec =
-        static_cast<double>(st->served) / sim::toSeconds(cfg.window) /
-        1e6;
-    r.gbpsOut = static_cast<double>(st->servedBytes) * 8.0 /
-                sim::toSeconds(cfg.window) / 1e9;
-    return r;
+    const auto queues = static_cast<std::uint64_t>(nic.numQueues());
+    return runOverlay(
+        sim, std::move(inject), set_tx_sink, wire, cfg.window,
+        [&](Tick end) { server.start(sim, mem_system, nic, end); },
+        cfg.offeredOps, {cfg.seed * 31, cfg.seed * 31 + 1},
+        [zipf, queues, get_frac = cfg.getFraction](
+            sim::Rng &rng, std::uint64_t n, WirePacket &pkt) {
+            const std::uint64_t key = zipf->sample(rng);
+            const bool get = rng.uniform() < get_frac;
+            pkt.len = kRequestBytes;
+            pkt.flowId = n;
+            pkt.userData = packKvRequest(key, get);
+            return static_cast<int>(n % queues);
+        });
 }
 
 } // namespace ccn::apps

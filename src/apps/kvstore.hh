@@ -17,39 +17,13 @@
 #include <memory>
 #include <vector>
 
+#include "apps/overlay.hh"
 #include "ccnic/ccnic.hh"
-#include "driver/nic_iface.hh"
 #include "mem/coherence.hh"
-#include "sim/random.hh"
 #include "transport/transport.hh"
 #include "workload/dists.hh"
 
 namespace ccn::apps {
-
-/** Rate-capped full-duplex wire (the CX6 2x100GbE stand-in). */
-class WireModel
-{
-  public:
-    WireModel(sim::Simulator &sim, double pps_cap, double bytes_per_sec)
-        : pps(sim, pps_cap), bytes(sim, bytes_per_sec)
-    {}
-
-    /**
-     * Admit one packet; returns its wire-exit time. Multi-segment
-     * packets consume one descriptor/WQE slot per segment (§5.7: the
-     * extbuf GET path stresses the NIC's descriptor rate).
-     */
-    sim::Tick
-    admit(std::uint32_t len, std::uint32_t segments = 1)
-    {
-        const sim::Tick a = pps.reserve(segments);
-        const sim::Tick b = bytes.reserve(len);
-        return std::max(a, b);
-    }
-
-    sim::CalendarResource pps;
-    sim::CalendarResource bytes;
-};
 
 /// Zipf coefficient of key popularity (§5.7).
 inline constexpr double kZipfSkew = 0.75;
@@ -94,20 +68,15 @@ unpackKvRequest(std::uint64_t user_data)
 }
 /// @}
 
-/** Result of one KV measurement point. */
-struct KvResult
-{
-    double mopsPerSec = 0;
-    double gbpsOut = 0;
-    std::uint64_t served = 0;
-};
+/// The KV harness's name for its result, as perfbench spells it.
+using KvResult = OverlayResult;
 
 /**
  * Reusable KV server: owns the hash index and object store in
  * simulated memory and spawns polling server threads against any
  * NicInterface. Responses are addressed back to the requester
  * (dst = request src), so the same server runs unchanged behind the
- * loopback measurement harness (runKvStore) and a network fabric
+ * overlay harness (runKvStore) and a network fabric
  * (workload/clientserver).
  */
 class KvServer
@@ -140,30 +109,25 @@ class KvServer
 
     struct State;
 
-    /** Shared handle, for harnesses whose tasks outlive this scope. */
-    std::shared_ptr<State> shared() const { return st_; }
-
   private:
     std::shared_ptr<State> st_;
     KvConfig cfg_;
 };
 
 /**
- * Run the KV server on @p nic (already started, external wire mode
- * will be configured by this harness) and measure peak served
- * throughput.
+ * Run the KV server on @p nic (already started, loopback off) behind
+ * the overlay harness (runOverlay) and measure peak served throughput.
+ * Two clients, from Rng(cfg.seed * 31 + c), each offer half of
+ * cfg.offeredOps of 64-byte requests with Zipf keys; request n goes
+ * to queue n % queues.
  *
- * @param inject Function injecting a request packet into server queue
- *               q (the NIC's RX path).
+ * @param inject Injects a request into server queue q (the NIC's RX
+ *               path).
+ * @param set_tx_sink Installs the NIC's TX sink.
  */
 KvResult runKvStore(sim::Simulator &sim, mem::CoherentSystem &mem_system,
-                    driver::NicInterface &nic,
-                    std::function<void(int, const ccnic::WirePacket &)>
-                        inject,
-                    std::function<void(
-                        std::function<void(int,
-                                           const ccnic::WirePacket &)>)>
-                        set_tx_sink,
+                    driver::NicInterface &nic, FrameFn inject,
+                    std::function<void(FrameFn)> set_tx_sink,
                     WireModel &wire, const KvConfig &cfg);
 
 } // namespace ccn::apps

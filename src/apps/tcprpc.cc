@@ -1,12 +1,11 @@
 #include "apps/tcprpc.hh"
 
-#include <memory>
 #include <vector>
 
 namespace ccn::apps {
 
-using ccnic::WirePacket;
 using driver::PacketBuf;
+using driver::WirePacket;
 using mem::Addr;
 using sim::Tick;
 
@@ -17,29 +16,25 @@ constexpr std::uint64_t kFlows = 96; ///< Client flow population.
 constexpr std::uint32_t kRpcBytes = 64;
 constexpr double kTcpCycles = 70; ///< Per-packet TCP fast-path work.
 constexpr double kAppCycles = 30; ///< Echo application work.
-constexpr Tick kWarmup = sim::fromUs(50.0);
+constexpr std::uint64_t kClientSeed = 21;
 
-struct RpcState
-{
-    Tick measureStart = 0;
-    Tick measureEnd = 0;
-    std::uint64_t served = 0;
-    Addr flowTable = 0; ///< Per-flow connection state (2 lines each).
-};
-
-/** One TAS fast-path thread on queue q: RX, TCP, echo, TX. */
+/**
+ * One TAS fast-path thread on queue q: RX, TCP, echo, TX. Per-flow
+ * connection state is 2 lines each at @p flow_table.
+ */
 sim::Task
 fastPathThread(sim::Simulator &sim, mem::CoherentSystem &m,
-               driver::NicInterface &nic, int q, std::shared_ptr<RpcState> st)
+               driver::NicInterface &nic, int q, Addr flow_table,
+               Tick end)
 {
     const mem::AgentId agent = nic.hostAgent(q);
     PacketBuf *reqs[kBurst];
     PacketBuf *resp[kBurst];
 
-    while (sim.now() < st->measureEnd) {
+    while (sim.now() < end) {
         const int nr = co_await nic.rxBurst(q, reqs, kBurst);
         if (nr == 0) {
-            co_await nic.idleWait(q, st->measureEnd);
+            co_await nic.idleWait(q, end);
             continue;
         }
 
@@ -48,9 +43,8 @@ fastPathThread(sim::Simulator &sim, mem::CoherentSystem &m,
         for (int i = 0; i < nr; ++i) {
             spans.push_back({reqs[i]->addr, reqs[i]->len});
             const std::uint64_t flow = reqs[i]->flowId % kFlows;
-            spans.push_back(
-                {st->flowTable + flow * 2 * mem::kLineBytes,
-                 2 * mem::kLineBytes});
+            spans.push_back({flow_table + flow * 2 * mem::kLineBytes,
+                             2 * mem::kLineBytes});
         }
         co_await m.accessMulti(agent, spans, false);
 
@@ -59,118 +53,58 @@ fastPathThread(sim::Simulator &sim, mem::CoherentSystem &m,
             (kTcpCycles + kAppCycles) * nr));
 
         // Build echo responses.
-        int nresp = 0;
-        const int got = co_await nic.allocBufs(q, kRpcBytes, resp, nr);
+        const int nresp = co_await nic.allocBufs(q, kRpcBytes, resp, nr);
         std::vector<mem::CoherentSystem::Span> out_spans;
-        for (int i = 0; i < got; ++i) {
+        for (int i = 0; i < nresp; ++i) {
             resp[i]->len = kRpcBytes;
             resp[i]->txTime = reqs[i]->txTime;
             resp[i]->flowId = reqs[i]->flowId;
             resp[i]->userData = reqs[i]->userData;
             out_spans.push_back({resp[i]->addr, kRpcBytes});
-            nresp++;
         }
         co_await m.postMulti(agent, out_spans, nullptr);
-
-        int sent = 0;
-        while (sent < nresp) {
-            const int tx =
-                co_await nic.txBurst(q, resp + sent, nresp - sent);
-            if (tx == 0) {
-                co_await sim.delay(sim::fromNs(200.0));
-                if (sim.now() >= st->measureEnd)
-                    break;
-                continue;
-            }
-            sent += tx;
-        }
-        if (sent < nresp)
-            co_await nic.freeBufs(q, resp + sent, nresp - sent);
-        co_await nic.freeBufs(q, reqs, nr);
-    }
-    co_return;
-}
-
-sim::Task
-rpcClientGen(sim::Simulator &sim, driver::NicInterface &nic,
-             std::function<void(int, const WirePacket &)> inject,
-             std::shared_ptr<WireModel> inbound, const TcpRpcConfig cfg,
-             std::shared_ptr<RpcState> st, std::uint64_t seed)
-{
-    sim::Rng rng(seed);
-    const int queues = nic.numQueues();
-    Tick next = sim.now();
-    std::uint64_t n = 0;
-    while (sim.now() < st->measureEnd) {
-        next += static_cast<Tick>(rng.exponential(
-            static_cast<double>(sim::kSecond) / cfg.offeredOps));
-        if (next > sim.now())
-            co_await sim.delayUntil(next);
-        if (sim.now() >= st->measureEnd)
-            break;
-        WirePacket pkt;
-        pkt.len = kRpcBytes;
-        pkt.txTime = sim.now();
-        pkt.flowId = rng.below(kFlows);
-        pkt.userData = n;
-        // Flows are statically partitioned across fast-path threads.
-        const int q = static_cast<int>(pkt.flowId %
-                                       static_cast<std::uint64_t>(
-                                           queues));
-        const Tick at = inbound->admit(pkt.len);
-        auto inj = inject;
-        sim.scheduleCallback(at, [inj, q, pkt] { inj(q, pkt); });
-        n++;
+        co_await sendAndFree(sim, nic, q, resp, nresp, reqs, nr, end);
     }
     co_return;
 }
 
 } // namespace
 
-TcpRpcResult
+OverlayResult
 runTcpRpc(sim::Simulator &sim, mem::CoherentSystem &mem_system,
-          driver::NicInterface &nic,
-          std::function<void(int, const WirePacket &)> inject,
-          std::function<void(
-              std::function<void(int, const WirePacket &)>)>
-              set_tx_sink,
-          WireModel &wire, const TcpRpcConfig &cfg)
+          driver::NicInterface &nic, WireModel &wire,
+          const TcpRpcConfig &cfg)
 {
-    auto st = std::make_shared<RpcState>();
-    st->measureStart = sim.now() + kWarmup;
-    st->measureEnd = st->measureStart + cfg.window;
-    st->flowTable =
+    const Addr flow_table =
         mem_system.alloc(0, kFlows * 2 * mem::kLineBytes, 4096);
     // Flow-state lines are core-private per flow once steered; cross-
     // agent traffic there is accidental (bad RSS steering, not
     // intended two-way signaling).
     const auto flow_region = mem_system.profiler().registerRegion(
-        "tcprpc.flow_table", st->flowTable,
-        kFlows * 2 * mem::kLineBytes, obs::RegionIntent::Owned);
+        "tcprpc.flow_table", flow_table, kFlows * 2 * mem::kLineBytes,
+        obs::RegionIntent::Owned);
 
-    std::shared_ptr<RpcState> stp = st;
-    WireModel *wp = &wire;
-    set_tx_sink([stp, wp](int, const WirePacket &pkt) {
-        const Tick exit = wp->admit(pkt.len);
-        if (exit >= stp->measureStart && exit < stp->measureEnd)
-            stp->served++;
-    });
-
-    for (int q = 0; q < cfg.fastPathThreads; ++q) {
-        sim.spawn(fastPathThread(sim, mem_system, nic, q, st));
-    }
-    auto inbound = std::make_shared<WireModel>(sim, wire.pps.rate(),
-                                               wire.bytes.rate());
-    sim.spawn(rpcClientGen(sim, nic, inject, inbound, cfg, st,
-                           cfg.seed));
-    sim.run(st->measureEnd + sim::fromUs(20.0));
+    const auto queues = static_cast<std::uint64_t>(nic.numQueues());
+    const OverlayResult r = runOverlay(
+        sim, [&nic](int q, const WirePacket &p) { nic.injectRx(q, p); },
+        [&nic](FrameFn sink) { nic.setTxSink(std::move(sink)); }, wire,
+        cfg.window,
+        [&](Tick end) {
+            for (int q = 0; q < cfg.fastPathThreads; ++q) {
+                sim.spawn(fastPathThread(sim, mem_system, nic, q,
+                                         flow_table, end));
+            }
+        },
+        cfg.offeredOps, {kClientSeed},
+        [queues](sim::Rng &rng, std::uint64_t n, WirePacket &pkt) {
+            pkt.len = kRpcBytes;
+            pkt.flowId = rng.below(kFlows);
+            pkt.userData = n;
+            // Flows are statically partitioned across fast-path
+            // threads.
+            return static_cast<int>(pkt.flowId % queues);
+        });
     mem_system.profiler().unregisterRegion(flow_region);
-
-    TcpRpcResult r;
-    r.served = st->served;
-    r.mopsPerSec =
-        static_cast<double>(st->served) / sim::toSeconds(cfg.window) /
-        1e6;
     return r;
 }
 

@@ -14,10 +14,7 @@
 #ifndef CCN_APPS_TCPRPC_HH
 #define CCN_APPS_TCPRPC_HH
 
-#include <functional>
-
-#include "apps/kvstore.hh" // WireModel.
-#include "driver/nic_iface.hh"
+#include "apps/overlay.hh"
 #include "mem/coherence.hh"
 
 namespace ccn::apps {
@@ -28,24 +25,19 @@ struct TcpRpcConfig
     int fastPathThreads = 3;   ///< Fast-path (data plane) threads.
     double offeredOps = 120e6; ///< Offered beyond peak.
     sim::Tick window = sim::fromUs(200.0);
-    std::uint64_t seed = 21;
 };
 
-struct TcpRpcResult
-{
-    double mopsPerSec = 0;
-    std::uint64_t served = 0;
-};
-
-/** Run the echo RPC service and measure served throughput. */
-TcpRpcResult runTcpRpc(
-    sim::Simulator &sim, mem::CoherentSystem &mem_system,
-    driver::NicInterface &nic,
-    std::function<void(int, const ccnic::WirePacket &)> inject,
-    std::function<void(
-        std::function<void(int, const ccnic::WirePacket &)>)>
-        set_tx_sink,
-    WireModel &wire, const TcpRpcConfig &cfg);
+/**
+ * Run the echo RPC service on @p nic (already started, loopback off)
+ * behind the overlay harness (runOverlay), injecting into and sinking
+ * from the NIC directly, and measure served throughput. One client
+ * from Rng(21) offers cfg.offeredOps of 64-byte RPCs over 96 flows;
+ * a flow's requests go to queue flow % queues.
+ */
+OverlayResult runTcpRpc(sim::Simulator &sim,
+                        mem::CoherentSystem &mem_system,
+                        driver::NicInterface &nic, WireModel &wire,
+                        const TcpRpcConfig &cfg);
 
 } // namespace ccn::apps
 

@@ -154,17 +154,6 @@ makeCcNicWorld(const mem::PlatformConfig &plat,
     return w;
 }
 
-/** Build a world with a PCIe NIC attached. */
-inline std::unique_ptr<World>
-makePcieWorld(const mem::PlatformConfig &plat,
-              const nic::NicParams &params, int queues)
-{
-    auto w = std::make_unique<World>(plat);
-    w->attach(startNic<nic::PcieNic>(w->simv, w->system, params, queues,
-                                     0, w->rng));
-    return w;
-}
-
 /**
  * One row of the interface-family table. `kind` names the family's
  * architecture (ring-over-coherence, ring-over-PCIe,

@@ -131,16 +131,7 @@ TEST(TcpRpc, FastPathThreadsScaleThroughput)
         cfg.fastPathThreads = threads;
         cfg.offeredOps = 80e6;
         cfg.window = sim::fromUs(150.0);
-        return apps::runTcpRpc(
-                   w.simv, w.system, *w.nic,
-                   [&](int q, const ccnic::WirePacket &p) {
-                       w.nic->injectRx(q, p);
-                   },
-                   [&](std::function<void(
-                           int, const ccnic::WirePacket &)> s) {
-                       w.nic->setTxSink(std::move(s));
-                   },
-                   wire, cfg)
+        return apps::runTcpRpc(w.simv, w.system, *w.nic, wire, cfg)
             .mopsPerSec;
     };
     const double one = run(1);
