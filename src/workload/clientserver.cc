@@ -32,11 +32,6 @@ measure(KvMeasurement &r, std::uint64_t responses, std::uint64_t bytes,
 /** Client-side shared accounting. */
 struct ClientState
 {
-    ClientState(const ClientServerConfig &cfg)
-        : zipf(cfg.kv.numObjects, apps::kZipfSkew)
-    {}
-
-    ZipfSampler zipf;
     Tick measureStart = 0;
     Tick measureEnd = 0;
     Tick runUntil = 0;
@@ -48,40 +43,69 @@ struct ClientState
     stats::Histogram rttTicks;
 };
 
-/** Open-loop request generator on client queue @p q. */
+/**
+ * The open-loop request sources of @p cfg, one per client queue q:
+ * Poisson gaps at cfg.offeredOps / cfg.clientQueues from the tick the
+ * source opens, then a Zipf key and a GET/PUT, all drawn from
+ * Rng(cfg.seed * 131 + q).
+ */
+std::vector<RequestSource>
+poissonSources(sim::Simulator &sim, const ClientServerConfig &cfg)
+{
+    auto zipf = std::make_shared<const ZipfSampler>(cfg.kv.numObjects,
+                                                    apps::kZipfSkew);
+    const double rate = cfg.offeredOps / cfg.clientQueues;
+    const double get_frac = cfg.kv.getFraction;
+    const std::uint32_t bytes = cfg.requestBytes;
+    std::vector<RequestSource> sources;
+    for (int q = 0; q < cfg.clientQueues; ++q) {
+        sources.push_back([&sim, zipf, rate, get_frac, bytes,
+                           seed = cfg.seed * 131 + q] {
+            return [zipf, rate, get_frac, bytes, rng = sim::Rng(seed),
+                    next = sim.now()]() mutable {
+                next += static_cast<Tick>(rng.exponential(
+                    static_cast<double>(sim::kSecond) / rate));
+                const auto key =
+                    static_cast<std::uint32_t>(zipf->sample(rng));
+                const bool get = rng.uniform() < get_frac;
+                return std::optional(KvRequest{next, get, key, bytes});
+            };
+        });
+    }
+    return sources;
+}
+
+/** Sends one source's requests as raw datagrams on client queue q. */
 sim::Task
 clientTxTask(sim::Simulator &sim, mem::CoherentSystem &m,
-             driver::NicInterface &nic, int q, double rate,
-             std::uint32_t server_addr, const ClientServerConfig cfg,
-             std::shared_ptr<ClientState> st, std::uint64_t seed)
+             driver::NicInterface &nic, int q, RequestSource source,
+             std::uint32_t server_addr, RequestHook on_request,
+             std::shared_ptr<ClientState> st)
 {
-    sim::Rng rng(seed);
     const mem::AgentId agent = nic.hostAgent(q);
-    Tick next = sim.now();
     // Distinct flowId streams per queue so RSS spreads them.
     std::uint64_t n = static_cast<std::uint64_t>(q) << 40;
 
+    auto next = source();
     while (sim.now() < st->measureEnd) {
-        next += static_cast<Tick>(
-            rng.exponential(static_cast<double>(sim::kSecond) / rate));
-        if (next > sim.now())
-            co_await sim.delayUntil(next);
+        const std::optional<KvRequest> req = next();
+        if (!req)
+            break;
+        if (req->at > sim.now())
+            co_await sim.delayUntil(req->at);
         if (sim.now() >= st->measureEnd)
             break;
 
         PacketBuf *buf = nullptr;
-        const int got =
-            co_await nic.allocBufs(q, cfg.requestBytes, &buf, 1);
+        const int got = co_await nic.allocBufs(q, req->bytes, &buf, 1);
         if (got != 1) {
             st->backpressure++;
             continue;
         }
-        const std::uint64_t key = st->zipf.sample(rng);
-        const bool get = rng.uniform() < cfg.kv.getFraction;
-        buf->len = cfg.requestBytes;
+        buf->len = req->bytes;
         buf->txTime = sim.now();
         buf->flowId = ++n;
-        buf->userData = apps::packKvRequest(key, get);
+        buf->userData = apps::packKvRequest(req->key, req->get);
         buf->dst = server_addr;
         buf->src = 0;
 
@@ -97,10 +121,8 @@ clientTxTask(sim::Simulator &sim, mem::CoherentSystem &m,
             continue;
         }
         st->sent++;
-        if (cfg.onRequest)
-            cfg.onRequest(sim.now(), get,
-                          static_cast<std::uint32_t>(key),
-                          cfg.requestBytes);
+        if (on_request)
+            on_request(sim.now(), req->get, req->key, req->bytes);
     }
     co_return;
 }
@@ -233,7 +255,7 @@ runKvClientServer(sim::Simulator &sim, mem::CoherentSystem &server_mem,
                   std::uint32_t server_addr,
                   const ClientServerConfig &cfg)
 {
-    auto st = std::make_shared<ClientState>(cfg);
+    auto st = std::make_shared<ClientState>();
     st->measureStart = sim.now() + cfg.warmup;
     st->measureEnd = st->measureStart + cfg.window;
     st->runUntil = st->measureEnd + cfg.drain;
@@ -242,11 +264,11 @@ runKvClientServer(sim::Simulator &sim, mem::CoherentSystem &server_mem,
     apps::KvServer server(server_mem, cfg.kv, server_rng);
     server.start(sim, server_mem, server_nic, st->runUntil);
 
-    const int queues = cfg.clientQueues;
-    for (int q = 0; q < queues; ++q) {
+    const std::vector<RequestSource> sources = poissonSources(sim, cfg);
+    for (int q = 0; q < cfg.clientQueues; ++q) {
         sim.spawn(clientTxTask(sim, client_mem, client_nic, q,
-                               cfg.offeredOps / queues, server_addr,
-                               cfg, st, cfg.seed * 131 + q));
+                               sources[q], server_addr, cfg.onRequest,
+                               st));
         sim.spawn(clientRxTask(sim, client_mem, client_nic, q, st));
     }
     sim.run(st->runUntil + sim::fromUs(5.0));
@@ -272,28 +294,8 @@ runReliableWithEndpoints(
     clock.measureEnd = clock.measureStart + cfg.window;
     clock.runUntil = clock.measureEnd + cfg.drain;
 
-    // Open loop: Poisson gaps from the tick the connection opens, then
-    // a Zipf key and a GET/PUT, all from the connection's own Rng.
-    auto zipf = std::make_shared<const ZipfSampler>(cfg.kv.numObjects,
-                                                    apps::kZipfSkew);
-    const double rate = cfg.offeredOps / cfg.clientQueues;
-    const double get_frac = cfg.kv.getFraction;
-    const std::uint32_t bytes = cfg.requestBytes;
-    std::vector<RequestSource> sources;
-    for (int q = 0; q < cfg.clientQueues; ++q) {
-        sources.push_back([&sim, zipf, rate, get_frac, bytes,
-                           seed = cfg.seed * 131 + q] {
-            return [zipf, rate, get_frac, bytes, rng = sim::Rng(seed),
-                    next = sim.now()]() mutable {
-                next += static_cast<Tick>(rng.exponential(
-                    static_cast<double>(sim::kSecond) / rate));
-                const auto key =
-                    static_cast<std::uint32_t>(zipf->sample(rng));
-                const bool get = rng.uniform() < get_frac;
-                return std::optional(KvRequest{next, get, key, bytes});
-            };
-        });
-    }
+    // Open loop: each source opens with its connection.
+    const std::vector<RequestSource> sources = poissonSources(sim, cfg);
     ReliableClientServerResult r = runReliableClients(
         sim, server_mem, server_ep, client_ep, server_addr, cfg.kv,
         cfg.seed, clock, sources, cfg.onRequest, before_run);

@@ -84,8 +84,9 @@ struct ClientServerResult : KvMeasurement
  * Run the KV server on @p server_nic (host memory @p server_mem) and
  * an open-loop client on @p client_nic (host memory @p client_mem),
  * both already attached to a fabric, with the server reachable at
- * fabric address @p server_addr. Spawns all processes and runs the
- * simulation to completion.
+ * fabric address @p server_addr. Client queue q sends raw datagrams
+ * from the request stream runReliableWithEndpoints gives connection
+ * q. Spawns all processes and runs the simulation to completion.
  *
  * Both NICs must be started and configured with loopback disabled,
  * and their fabric attachments must already be in place (the harness
