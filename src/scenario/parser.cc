@@ -1,6 +1,7 @@
 #include "scenario/parser.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -102,10 +103,15 @@ class Parser
         return static_cast<std::uint64_t>(v);
     }
 
+    /** A count: a whole number in [lo, hi], a fraction rejected. */
     std::uint32_t
-    positiveInt(const std::string &what, double hi = 1e9)
+    count(const std::string &what, double hi, double lo = 1)
     {
-        return static_cast<std::uint32_t>(numberIn(what, 1, hi));
+        const Token &t = peek();
+        const double v = numberIn(what, lo, hi);
+        if (v != std::floor(v))
+            fail(t, what + " " + t.text + " is not a whole number");
+        return static_cast<std::uint32_t>(v);
     }
 
     void
@@ -147,7 +153,7 @@ class Parser
     sizes()
     {
         if (at(TokKind::Number)) {
-            const std::uint32_t b = positiveInt("value_sizes", 9600);
+            const std::uint32_t b = count("value_sizes", 9600);
             return workload::SizeDist({{1.0, b, b + 1}});
         }
         return oneOf("a size distribution", {"ads", "geo"},
@@ -240,10 +246,10 @@ class Parser
         body("host", "a host property", {
             {"interface", [&] { h.interface = family(); }},
             {"queues",
-             [&] { h.queues = static_cast<int>(positiveInt("queues", 64)); }},
+             [&] { h.queues = static_cast<int>(count("queues", 64)); }},
             {"batch", [&] {
                  h.batch = at(TokKind::Number)
-                               ? std::to_string(positiveInt("batch", 4096))
+                               ? std::to_string(count("batch", 4096))
                                : oneOf("a batch mode", {"off", "adaptive"},
                                        "batch mode",
                                        "expected off, adaptive, or a size")
@@ -270,7 +276,7 @@ class Parser
             {"delay_ns",
              [&] { c.propDelay = sim::fromNs(numberIn("delay_ns", 0, 1e9)); }},
             {"queue_pkts",
-             [&] { c.queuePackets = positiveInt("queue_pkts", 1e6); }},
+             [&] { c.queuePackets = count("queue_pkts", 1e6); }},
             {"loss", [&] { f.dropRate = numberIn("loss", 0, 1); }},
             {"dup", [&] { f.dupRate = numberIn("dup", 0, 1); }},
             {"reorder", [&] { f.reorderRate = numberIn("reorder", 0, 1); }},
@@ -293,14 +299,14 @@ class Parser
             {"client", [&] { b.client = expectIdent("a host name"); }},
             {"value_sizes", [&] { c.kv.sizes = sizes(); }},
             {"objects",
-             [&] { c.kv.numObjects = positiveInt("objects", 1 << 24); }},
+             [&] { c.kv.numObjects = count("objects", 1 << 24); }},
             {"client_queues", [&] {
                  c.clientQueues =
-                     static_cast<int>(positiveInt("client_queues", 64));
+                     static_cast<int>(count("client_queues", 64));
              }},
             {"server_threads", [&] {
                  c.kv.serverThreads =
-                     static_cast<int>(positiveInt("server_threads", 64));
+                     static_cast<int>(count("server_threads", 64));
              }},
             {"drain_us",
              [&] { c.drain = sim::fromUs(numberIn("drain_us", 0, 1e7)); }},
@@ -335,7 +341,7 @@ class Parser
                  c.offeredOps = numberIn("offered_mops", 1e-6, 1e4) * 1e6;
              }},
             {"request_bytes",
-             [&] { c.requestBytes = positiveInt("request_bytes", 9600); }},
+             [&] { c.requestBytes = count("request_bytes", 9600); }},
             {"warmup_us",
              [&] { c.warmup = sim::fromUs(numberIn("warmup_us", 0, 1e6)); }},
             {"window_us",
@@ -356,7 +362,7 @@ class Parser
         workload::ChaosConfig &c = f.config;
         const auto events = [this](const char *name, int &n) {
             return Props::value_type(name, [this, name, &n] {
-                n = static_cast<int>(numberIn(name, 0, 1e4));
+                n = static_cast<int>(count(name, 1e4, 0));
             });
         };
         body("faults", "a fault property", {
@@ -414,11 +420,11 @@ class Parser
              }},
             {"sizes", [&] {
                  do
-                     s.sizes.push_back(positiveInt("sizes", 9600));
+                     s.sizes.push_back(count("sizes", 9600));
                  while (at(TokKind::Number));
              }},
             {"queues",
-             [&] { s.queues = static_cast<int>(positiveInt("queues", 64)); }},
+             [&] { s.queues = static_cast<int>(count("queues", 64)); }},
         });
     }
 

@@ -160,6 +160,22 @@ TEST(ScenarioParser, ZeroQueuesRejected)
                 "queues 0 out of range");
 }
 
+TEST(ScenarioParser, FractionalCountsRejected)
+{
+    // A count is a whole number: a fraction is an error, not cast down.
+    expectError("host a { queues 2.5; }", 1, 17,
+                "queues 2.5 is not a whole number");
+    expectError("host a { }\nworkload kv { server a; client a; "
+                "client_queues 1.5; }",
+                2, 49, "client_queues 1.5 is not a whole number");
+    expectError("sweep smallmsg { interfaces ccnic; sizes 64 100.5; }", 1,
+                45, "sizes 100.5 is not a whole number");
+    expectError("host a { }\nhost b { }\n"
+                "workload kv { mode reliable; server a; client b; }\n"
+                "faults { target b; nic_wedges 0.5; }",
+                4, 31, "nic_wedges 0.5 is not a whole number");
+}
+
 TEST(ScenarioParser, FaultsRequireReliableWorkload)
 {
     expectError("host a { }\nhost b { }\n"
