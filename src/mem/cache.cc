@@ -108,12 +108,6 @@ SetAssocCache::find(Addr line)
     return entry(tags_.find(line));
 }
 
-const CacheEntry *
-SetAssocCache::find(Addr line) const
-{
-    return const_cast<SetAssocCache *>(this)->find(line);
-}
-
 CacheEntry *
 SetAssocCache::touch(Addr line)
 {

@@ -144,7 +144,6 @@ class SetAssocCache
 
     /** Find the entry for @p line, or nullptr. Does not touch LRU. */
     CacheEntry *find(Addr line);
-    const CacheEntry *find(Addr line) const;
 
     /** Find and mark most-recently-used. */
     CacheEntry *touch(Addr line);

@@ -103,21 +103,6 @@ Fabric::downlinkOf(std::uint32_t addr)
     return *ports_[addr - 1]->down;
 }
 
-const std::string &
-Fabric::portName(std::uint32_t addr) const
-{
-    return portFor(addr).name;
-}
-
-std::vector<std::uint32_t>
-Fabric::addresses() const
-{
-    std::vector<std::uint32_t> out;
-    for (const auto &p : ports_)
-        out.push_back(p->addr);
-    return out;
-}
-
 void
 Fabric::report(std::ostream &os) const
 {

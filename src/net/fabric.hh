@@ -113,12 +113,6 @@ class Fabric
     Link &downlinkOf(std::uint32_t addr);
     /// @}
 
-    /** Port name (for reports). */
-    const std::string &portName(std::uint32_t addr) const;
-
-    /** All attached fabric addresses, in attach order. */
-    std::vector<std::uint32_t> addresses() const;
-
     Switch &fabricSwitch() { return switch_; }
     const Switch &fabricSwitch() const { return switch_; }
 
