@@ -42,7 +42,10 @@
  *
  * The parser writes each setting into the runtime config the run
  * uses (ast.hh). A seed is any number in [0, 2^64), its fraction
- * dropped.
+ * dropped. A count (queues, batch, queue_pkts, objects,
+ * client_queues, server_threads, request_bytes, a fixed value or
+ * sweep size, and the fault event counts) is a whole number in its
+ * range.
  *
  * All diagnostics — lexical, syntactic, and semantic (duplicate host
  * names, dangling link endpoints, unknown interface families,
